@@ -1,25 +1,44 @@
-"""CSR unified BFS sweep: distance histogram + optional betweenness.
+"""NumPy unified BFS sweep: distance histogram + optional betweenness.
 
-Without betweenness the sweep is the bit-parallel batched histogram BFS of
-:mod:`repro.kernels.bfs` (64 sources per word).  With betweenness it runs
-the vectorized per-source Brandes pass of :mod:`repro.kernels.betweenness`
-and bin-counts the hop-distance array that pass computes anyway, so a
-combined distance+betweenness request performs a single traversal.  The
-integer pair counts are identical in both modes and identical to the
-pure-Python kernel.
+Without betweenness or edge load the sweep is the bit-parallel histogram
+BFS of :mod:`repro.kernels.bfs`, which needs no per-pair state.  With
+either, it is the batched bit-parallel Brandes sweep of
+:mod:`repro.kernels.betweenness`, which counts each level's fresh
+(source, node) pairs while it accumulates σ, so the histogram, centrality
+and edge load come from one traversal.  The integer pair counts are
+identical in both modes and identical to the pure-Python kernel.
+
+:func:`sweep_view` serves both NumPy backends: ``csr`` passes the cached
+snapshot of a :class:`SimpleGraph`, ``biggraph`` a (possibly memory-mapped)
+BigGraph.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.backend import register_kernel
-from repro.kernels.betweenness import _accumulate_source, _arc_edge_ids
-from repro.kernels.bfs import bfs_histogram
+from repro.kernels.betweenness import brandes_sweep
+from repro.kernels.bfs import histogram_from_csr
 from repro.kernels.csr import csr_graph
+
+
+def sweep_view(
+    csr,
+    source_nodes: Sequence[int],
+    want_betweenness: bool,
+    want_edge_load: bool = False,
+) -> tuple[dict[int, int], list[float] | None, list[float] | None]:
+    """One sweep over any CSR-shaped view: ``(histogram, centrality, edge load)``."""
+    if not want_betweenness and not want_edge_load:
+        return histogram_from_csr(csr, source_nodes), None, None
+    histogram, centrality, edge_load = brandes_sweep(csr, source_nodes, want_edge_load)
+    return (
+        histogram,
+        centrality.tolist(),
+        None if edge_load is None else edge_load.tolist(),
+    )
 
 
 @register_kernel("bfs_sweep", "csr")
@@ -32,36 +51,11 @@ def bfs_sweep(
     """One sweep over ``source_nodes``: ``(histogram, centrality, edge load)``.
 
     ``edge_load`` is the raw per-edge dependency accumulation in sorted
-    canonical edge order (``None`` unless ``want_edge_load``), scatter-added
+    canonical edge order (``None`` unless ``want_edge_load``), accumulated
     inside the same Brandes backward pass — betweenness + edge load together
     still cost one traversal.
     """
-    if not want_betweenness and not want_edge_load:
-        return bfs_histogram(graph, source_nodes), None, None
-    csr = csr_graph(graph)
-    centrality = np.zeros(csr.n, dtype=np.float64)
-    edge_load = arc_edge = None
-    if want_edge_load:
-        edge_load = np.zeros(graph.number_of_edges, dtype=np.float64)
-        arc_edge = _arc_edge_ids(csr)
-    counts = np.zeros(1, dtype=np.int64)
-    for source in source_nodes:
-        distances = _accumulate_source(
-            csr, source, centrality, edge_load=edge_load, arc_edge=arc_edge
-        )
-        reached = distances[distances >= 0]
-        per_source = np.bincount(reached)
-        if len(per_source) > len(counts):
-            grown = np.zeros(len(per_source), dtype=np.int64)
-            grown[: len(counts)] = counts
-            counts = grown
-        counts[: len(per_source)] += per_source
-    histogram = {d: int(c) for d, c in enumerate(counts) if c}
-    return (
-        histogram,
-        [float(value) for value in centrality],
-        None if edge_load is None else [float(value) for value in edge_load],
-    )
+    return sweep_view(csr_graph(graph), source_nodes, want_betweenness, want_edge_load)
 
 
-__all__ = ["bfs_sweep"]
+__all__ = ["bfs_sweep", "sweep_view"]

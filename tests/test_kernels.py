@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import pickle
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +22,10 @@ from repro.kernels.backend import (
     resolve_backend,
     use_backend,
 )
-from repro.kernels.bfs import bfs_histogram, distances_from
+from repro.kernels import betweenness as betweenness_mod
+from repro.kernels.betweenness import brandes_sweep, block_width, sweep_budget_bytes
+from repro.kernels.bfs import bfs_histogram
+from repro.kernels.biggraph import BigGraph
 from repro.kernels.csr import CSRGraph, csr_graph
 from repro.metrics.betweenness import node_betweenness
 from repro.metrics.distances import bfs_distances, sample_sources
@@ -153,11 +158,13 @@ class TestBackendRegistry:
 
 class TestBfsKernel:
     @pytest.mark.parametrize("builder", [lambda: ring(9), lambda: SimpleGraph(1)])
-    def test_distances_match_python(self, builder):
+    def test_level_counts_match_python(self, builder):
+        # one source per sweep: the level sizes are its distance counts
         graph = builder()
         csr = csr_graph(graph)
         for source in graph.nodes():
-            assert list(distances_from(csr, source)) == bfs_distances(graph, source)
+            expected = Counter(d for d in bfs_distances(graph, source) if d >= 0)
+            assert brandes_sweep(csr, [source])[0] == dict(expected)
 
     def test_histogram_matches_python(self, mixed_graph):
         sources = list(mixed_graph.nodes())
@@ -195,6 +202,119 @@ class TestBetweennessKernel:
         values = node_betweenness(star, backend="csr")
         assert values[0] == pytest.approx(1.0)
         assert all(v == pytest.approx(0.0) for v in values[1:])
+
+
+def random_graph(n, m, seed):
+    """``m`` random edges on ``n`` nodes: several components, isolated nodes."""
+    rng = np.random.default_rng(seed)
+    graph = SimpleGraph(n)
+    while graph.number_of_edges < m:
+        u, v = (int(x) for x in rng.integers(n, size=2))
+        if u != v and not graph.has_edge(u, v):
+            graph.add_edge(u, v)
+    return graph
+
+
+def assert_matches_reference(graph, sources):
+    histogram, centrality, edge_load = brandes_sweep(csr_graph(graph), sources, True)
+    # the python kernel: brandes_source per source, the reference loops
+    expected = get_kernel("bfs_sweep", "python")(graph, sources, True, True)
+    assert histogram == expected[0]
+    np.testing.assert_allclose(centrality, expected[1], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(edge_load, expected[2], rtol=1e-12, atol=0)
+
+
+class TestBrandesSweep:
+    """The batched kernel against the per-source Python reference."""
+
+    def test_disconnected_graph_with_isolated_nodes(self, mixed_graph):
+        assert_matches_reference(mixed_graph, list(mixed_graph.nodes()))
+
+    def test_sparse_random_graph_all_sources(self):
+        graph = random_graph(90, 110, seed=1)
+        assert 0 in graph.degrees()  # isolated nodes among several components
+        assert_matches_reference(graph, list(graph.nodes()))
+
+    def test_edgeless_graph(self):
+        graph = SimpleGraph(5)
+        histogram, centrality, edge_load = brandes_sweep(csr_graph(graph), [0, 3, 3], True)
+        assert histogram == {0: 3}
+        assert centrality.tolist() == [0.0] * 5
+        assert edge_load.tolist() == []
+
+    def test_no_sources_and_empty_graph(self, mixed_graph):
+        histogram, centrality, edge_load = brandes_sweep(csr_graph(mixed_graph), [], True)
+        assert histogram == {}
+        assert not centrality.any() and not edge_load.any()
+        assert brandes_sweep(csr_graph(SimpleGraph(0)), [], True)[0] == {}
+
+    @pytest.mark.parametrize("width", [1, 4, 8, 64])
+    def test_source_counts_around_the_block_width(self, width, monkeypatch):
+        graph = random_graph(100, 260, seed=2)
+        csr = csr_graph(graph)
+        per_source = betweenness_mod._source_bytes(csr.n, csr.m)
+        monkeypatch.setattr(betweenness_mod, "BLOCK_BYTES", per_source * width)
+        assert block_width(csr.n, csr.m) == width
+        order = np.random.default_rng(width).permutation(csr.n).tolist()
+        for count in sorted({1, max(width - 1, 1), width, width + 1}):
+            assert_matches_reference(graph, order[:count])
+
+    def test_repeated_sources_count_repeatedly(self, monkeypatch):
+        graph = random_graph(40, 90, seed=3)
+        sources = [5, 5, 17, 5, 17, 30]
+        assert_matches_reference(graph, sources)
+        csr = csr_graph(graph)
+        # a repeat split across blocks must add up the same way
+        monkeypatch.setattr(
+            betweenness_mod, "BLOCK_BYTES", 2 * betweenness_mod._source_bytes(csr.n, csr.m)
+        )
+        assert_matches_reference(graph, sources)
+
+    def test_mmap_biggraph_bit_identical_to_csr(self, tmp_path):
+        graph = random_graph(120, 300, seed=4)
+        BigGraph.from_simple_graph(graph).save(tmp_path / "art")
+        big = BigGraph.load(tmp_path / "art")
+        assert big.indices.dtype == np.uint32
+        sources = list(range(0, 120, 3))
+        csr_out = brandes_sweep(csr_graph(graph), sources, True)
+        big_out = brandes_sweep(big, sources, True)
+        assert big_out[0] == csr_out[0]
+        assert np.array_equal(big_out[1], csr_out[1])
+        assert np.array_equal(big_out[2], csr_out[2])
+        # and through the registered kernels of both numpy backends
+        for want in ((True, False), (False, True), (True, True)):
+            assert dispatch("bfs_sweep", big)(big, sources, *want) == dispatch(
+                "bfs_sweep", graph, "csr"
+            )(graph, sources, *want)
+        assert dispatch("betweenness_accumulate", big)(big, sources) == csr_out[1].tolist()
+
+    def test_memory_stays_within_the_stated_budget(self):
+        # n = 2·10^5: the block width must shrink rather than grow K×n arrays
+        n = 200_000
+        rng = np.random.default_rng(5)
+        u = np.concatenate((np.arange(n), rng.integers(n, size=n)))
+        v = np.concatenate(((np.arange(n) + 1) % n, rng.integers(n, size=n)))
+        keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+        keys = keys[keys // n != keys % n]
+        rows = np.concatenate((keys // n, keys % n))
+        cols = np.concatenate((keys % n, keys // n))
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        big = BigGraph.from_arrays(indptr, cols[order])
+        del u, v, keys, rows, cols, order
+        budget = sweep_budget_bytes(big.n, big.m)
+        # a block of 64 sources would need 64 σ arrays of n floats alone
+        assert 64 * 8 * n > budget
+        tracemalloc.start()
+        try:
+            histogram, _, edge_load = brandes_sweep(big, [0, n // 3, n // 2], True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(histogram.values()) == 3 * n  # the ring connects everything
+        assert len(edge_load) == big.m
+        assert peak < budget, (peak, budget)
 
 
 class TestSampleSources:
