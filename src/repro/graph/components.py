@@ -7,28 +7,29 @@ few tiny components behind.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator
 
 from repro.graph.simple_graph import SimpleGraph
 
 
 def connected_components(graph: SimpleGraph) -> Iterator[list[int]]:
-    """Yield connected components as lists of node ids (BFS based)."""
-    seen = [False] * graph.number_of_nodes
-    for start in graph.nodes():
+    """Yield connected components as lists of node ids (BFS based).
+
+    Each component lists its nodes in BFS discovery order; the list doubles
+    as the BFS queue.
+    """
+    adj = graph._adj
+    seen = [False] * len(adj)
+    for start in range(len(adj)):
         if seen[start]:
             continue
         seen[start] = True
         component = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in graph.neighbors(u):
+        for u in component:
+            for v in adj[u]:
                 if not seen[v]:
                     seen[v] = True
                     component.append(v)
-                    queue.append(v)
         yield component
 
 

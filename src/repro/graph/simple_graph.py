@@ -17,6 +17,7 @@ Conversion helpers to and from :mod:`networkx` live in
 
 from __future__ import annotations
 
+import gc
 from typing import Iterable, Iterator, Sequence
 
 from repro.exceptions import GraphError
@@ -222,12 +223,10 @@ class SimpleGraph:
         Returns the new graph and the mapping ``old id -> new id``.
         """
         mapping = {old: new for new, old in enumerate(nodes)}
-        sub = SimpleGraph(len(nodes))
-        selected = set(nodes)
-        for u, v in self._edges:
-            if u in selected and v in selected:
-                sub.add_edge(mapping[u], mapping[v])
-        return sub, mapping
+        kept = (
+            (mapping[u], mapping[v]) for u, v in self._edges if u in mapping and v in mapping
+        )
+        return SimpleGraph._from_pairs(len(nodes), kept), mapping
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimpleGraph):
@@ -276,19 +275,35 @@ class SimpleGraph:
         edge-array pair: endpoints may be stored in either orientation, but
         the caller guarantees a *valid simple graph* (no self-loops, no
         duplicate edges, ids below ``n``) — nothing is validated here, which
-        makes this several times faster than ``add_edge`` per edge.
+        makes this several times faster than ``add_edge`` per edge.  The
+        result is identical to inserting the edges one by one with
+        ``add_edge``: same edge list, same positions, and the same iteration
+        order of every adjacency set.
         """
-        graph = cls(n)
-        adj = graph._adj
-        edges = graph._edges
-        positions = graph._edge_pos
-        for u, v in zip(edge_u, edge_v):
-            if u > v:
-                u, v = v, u
-            adj[u].add(v)
-            adj[v].add(u)
-            positions[(u, v)] = len(edges)
-            edges.append((u, v))
+        return cls._from_pairs(n, zip(edge_u, edge_v))
+
+    @classmethod
+    def _from_pairs(cls, n: int, pairs: Iterable[Edge]) -> "SimpleGraph":
+        """Bulk body of :meth:`from_flat_edges` over ``(u, v)`` pairs.
+
+        The cyclic garbage collector is paused meanwhile: the build allocates
+        some ``m + n`` containers that all stay referenced, so collections
+        triggered by those allocations would only rescan the live heap.
+        """
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            graph = cls(n)
+            edges = [(u, v) if u < v else (v, u) for u, v in pairs]
+            adds = [neigh.add for neigh in graph._adj]
+            for u, v in edges:
+                adds[u](v)
+                adds[v](u)
+            graph._edges = edges
+            graph._edge_pos = dict(zip(edges, range(len(edges))))
+        finally:
+            if was_enabled:
+                gc.enable()
         return graph
 
     @classmethod

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.graph.components import giant_component
+from repro.graph.components import giant_component, largest_component_nodes
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.backend import dispatch, resolve_backend
 from repro.telemetry import counter_inc, span
@@ -87,6 +87,30 @@ def shared_target(graph: SimpleGraph, *, use_giant_component: bool = True) -> Si
             target = giant_component(graph)
         cache["gcc"] = target
     return target
+
+
+def shared_giant_size(graph: SimpleGraph) -> int:
+    """Node count of the giant component (cached), without extracting it.
+
+    Serves the cached extraction when a planner run already made one;
+    otherwise one component pass counts the largest component and caches
+    the count, so a store hit deciding whether a sweep is sampled never
+    builds the subgraph.  A BigGraph's component is extracted by
+    :func:`shared_target` (numpy labelling, and the graph itself when it is
+    connected), and the planner reuses that extraction.
+    """
+    cache = _cache(graph)
+    target = cache.get("gcc")
+    if target is not None:
+        return target.number_of_nodes
+    size = cache.get("gcc_size")
+    if size is None:
+        if getattr(graph, "is_biggraph", False):
+            size = shared_target(graph).number_of_nodes
+        else:
+            size = len(largest_component_nodes(graph))
+        cache["gcc_size"] = size
+    return size
 
 
 def shared_sweep(
@@ -263,6 +287,7 @@ __all__ = [
     "SweepResult",
     "clear_measure_cache",
     "shared_target",
+    "shared_giant_size",
     "shared_sweep",
     "shared_triangles",
     "shared_edge_moments",

@@ -14,7 +14,10 @@ Facades that keep the eager APIs' signatures but read/write an
   metric name, metric params, code version)`` key, so widening a previously
   measured metric set computes only the new metrics (sharing one planner
   run — and hence one BFS sweep — among them) while the old ones are store
-  reads.
+  reads.  A hit extracts no giant component: whether a sampled sweep is
+  effectively exact is decided from the component's cached node count
+  (:func:`~repro.measure.intermediates.shared_giant_size`), and only the
+  planner run over missing metrics builds the component subgraph.
 * :func:`memoized_summarize` keeps the historical Table-2 facade: it is now
   ``memoized_measure`` over the full scalar battery, rendered as a
   :class:`~repro.metrics.summary.ScalarMetrics`.
@@ -34,6 +37,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.generators.registry import GenerationResult, GeneratorSpec, json_safe
 from repro.graph.simple_graph import SimpleGraph
+from repro.measure.intermediates import shared_giant_size
 from repro.measure.plan import (
     Measurement,
     MeasurementPlan,
@@ -229,44 +233,41 @@ def memoized_measure(
             cache="off",
         ):
             return plan.run(graph, rng=rng, backend=backend, sweep_executor=sweep_executor)
-    if graph_hash is None:
-        if getattr(graph, "is_biggraph", False):
-            # a BigGraph's identity is its binary CSR hash; the text
-            # canonicalization below would materialize all 2m edge tuples
-            from repro.graph.mmap_io import biggraph_content_hash
-
-            graph_hash = graph.content_hash or biggraph_content_hash(
-                graph.indptr, graph.indices
-            )
-        else:
-            graph_hash = graph_content_hash(graph)
-
-    keys = measure_entry_keys(
-        graph_hash,
-        plan.metrics,
-        use_giant_component=use_giant_component,
-        distance_sources=distance_sources,
-    )
-    # the sweep is only *actually* sampled below the measurement target's
-    # node count (sample_sources clamps); exact sweeps are deterministic, so
-    # their metrics cache and mix freely.  The giant component is only
-    # extracted for this test when the cheap whole-graph bound is ambiguous
-    # (the extraction is cached on the graph and reused by any planner run).
-    effectively_sampled = (
-        distance_sources is not None and distance_sources < graph.number_of_nodes
-    )
-    if effectively_sampled and use_giant_component:
-        from repro.measure.intermediates import shared_target
-
-        effectively_sampled = distance_sources < shared_target(graph).number_of_nodes
-    sweep_needs = {"sweep", "betweenness", "edge_load"}
-
     with span(
         "store.measure",
         metrics=len(plan.metrics),
         n=graph.number_of_nodes,
         m=graph.number_of_edges,
     ) as sp:
+        if graph_hash is None:
+            if getattr(graph, "is_biggraph", False):
+                # a BigGraph's identity is its binary CSR hash; the text
+                # canonicalization below would materialize all 2m edge tuples
+                from repro.graph.mmap_io import biggraph_content_hash
+
+                graph_hash = graph.content_hash or biggraph_content_hash(
+                    graph.indptr, graph.indices
+                )
+            else:
+                graph_hash = graph_content_hash(graph)
+        keys = measure_entry_keys(
+            graph_hash,
+            plan.metrics,
+            use_giant_component=use_giant_component,
+            distance_sources=distance_sources,
+        )
+        # the sweep is only *actually* sampled below the measurement target's
+        # node count (sample_sources clamps); exact sweeps are deterministic,
+        # so their metrics cache and mix freely.  The target's size is a
+        # cached component count: a hit never extracts the giant component,
+        # only a planner run over missing metrics does.
+        effectively_sampled = (
+            distance_sources is not None and distance_sources < graph.number_of_nodes
+        )
+        if effectively_sampled and use_giant_component:
+            effectively_sampled = distance_sources < shared_giant_size(graph)
+        sweep_needs = {"sweep", "betweenness", "edge_load"}
+
         values: dict[str, Any] = {}
         payloads: dict[str, dict[str, Any]] = {}
         missing: list[str] = []

@@ -1,5 +1,8 @@
 """Unit tests for the SimpleGraph substrate."""
 
+import gc
+import random
+
 import pytest
 
 from repro.exceptions import GraphError
@@ -161,3 +164,62 @@ class TestCopiesAndEquality:
 def test_canonical_edge_orders_endpoints():
     assert canonical_edge(3, 1) == (1, 3)
     assert canonical_edge(1, 3) == (1, 3)
+
+
+def _layout(graph: SimpleGraph):
+    """Edge list, edge positions and adjacency iteration order."""
+    return (
+        graph._edges,
+        list(graph._edge_pos.items()),
+        [list(neigh) for neigh in graph._adj],
+    )
+
+
+def _random_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
+    """Distinct non-loop pairs in random order and orientation."""
+    rng = random.Random(seed)
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+    while len(pairs) < count:
+        u, v = rng.sample(range(n), 2)
+        pairs.setdefault(canonical_edge(u, v), (u, v))
+    return list(pairs.values())
+
+
+def test_from_flat_edges_matches_add_edge():
+    # large ids so adjacency sets resize and collide: iteration order counts
+    pairs = _random_pairs(400, 1500, seed=3)
+    reference = SimpleGraph(400)
+    for u, v in pairs:
+        reference.add_edge(u, v)
+    bulk = SimpleGraph.from_flat_edges(400, [u for u, _ in pairs], [v for _, v in pairs])
+    assert _layout(bulk) == _layout(reference)
+    bulk.remove_edge(*pairs[7])  # the bulk graph is an ordinary mutable graph
+    reference.remove_edge(*pairs[7])
+    assert _layout(bulk) == _layout(reference)
+
+
+def test_subgraph_matches_add_edge():
+    graph = SimpleGraph(300, edges=_random_pairs(300, 900, seed=5))
+    nodes = random.Random(9).sample(range(300), 180)
+    sub, mapping = graph.subgraph(nodes)
+    reference = SimpleGraph(len(nodes))
+    for u, v in graph.edges():
+        if u in mapping and v in mapping:
+            reference.add_edge(mapping[u], mapping[v])
+    assert mapping == {old: new for new, old in enumerate(nodes)}
+    assert _layout(sub) == _layout(reference)
+
+
+def test_bulk_construction_restores_the_collector():
+    assert gc.isenabled()
+    SimpleGraph.from_flat_edges(3, [0, 1], [1, 2])
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        SimpleGraph.from_flat_edges(3, [0, 1], [1, 2])
+        assert not gc.isenabled()  # a caller's pause is left alone
+    finally:
+        gc.enable()
+    with pytest.raises(IndexError):
+        SimpleGraph.from_flat_edges(2, [0], [5])
+    assert gc.isenabled()

@@ -13,11 +13,13 @@ from repro.store import (
     generation_key,
     graph_content_hash,
     memoized_build,
+    memoized_measure,
     memoized_summarize,
     metric_key,
     stable_hash,
 )
 from repro.store.keys import code_version
+from repro.telemetry import counter_value
 
 
 @pytest.fixture
@@ -268,3 +270,29 @@ def test_memoized_summarize_read_false_recomputes(store, triangle_graph):
 def test_content_hash_matches_store_key_usage(hot_small):
     # the hash used by the memo layer is the serialization-level content hash
     assert len(graph_content_hash(hot_small)) == 64
+
+
+@pytest.mark.parametrize("sources", [10, "between"], ids=["sampled", "clamped-to-exact"])
+def test_memo_hit_extracts_no_giant_component(store, hot_small, sources):
+    # isolated nodes make the giant component smaller than the graph, so the
+    # sampled-or-exact decision needs the component's size, never the
+    # component itself: a fully cached request builds no subgraph
+    graph = hot_small.copy()
+    graph.add_nodes(5)
+    if sources == "between":
+        sources = hot_small.number_of_nodes + 2  # >= the component, < n
+    metrics = ("mean_distance", "distance_std", "mean_clustering", "assortativity")
+    first = memoized_measure(
+        graph.copy(), store, metrics=metrics, distance_sources=sources,
+        rng=np.random.default_rng(1),
+    )
+    misses = counter_value("repro_memo_metric_misses_total")
+    warm = graph.copy()
+    again = memoized_measure(
+        warm, store, metrics=metrics, distance_sources=sources,
+        rng=np.random.default_rng(2),
+    )
+    assert counter_value("repro_memo_metric_misses_total") == misses  # all hits
+    assert again.as_dict() == first.as_dict()
+    assert "gcc" not in (warm._measure_cache or {})
+    assert warm._measure_cache["gcc_size"] == hot_small.number_of_nodes
