@@ -21,7 +21,7 @@ FULL_SCALE = os.environ.get("REPRO_BENCH_SCALE", "full") == "full"
 #: Where the machine-readable results document is written.
 BENCH_RESULTS_PATH = os.environ.get("REPRO_BENCH_JSON", "BENCH_results.json")
 
-# deterministic seeds so EXPERIMENTS.md numbers are reproducible
+# deterministic seeds so recorded numbers are reproducible
 HOT_SEED = 20060911
 AS_SEED = 20060912
 GENERATION_SEED = 1

@@ -7,8 +7,9 @@ into an on-disk memory-mapped CSR artifact, and records into
 BENCH_results.json:
 
 * generation throughput (wall time + edges/sec) per size,
-* the sampled Table-2 core battery wall time on the ``biggraph`` backend per
-  size — these are the n >= 10^6 rows behind ``"full_scale": true``.
+* the sampled Table-2 core battery wall time on the ``csr`` backend, run
+  straight on the memory-mapped graph, per size — these are the n >= 10^6
+  rows behind ``"full_scale": true``.
 
 The acceptance bar of the tier runs in clean subprocesses (so each path's
 peak RSS is its own): at n = 10^5 the streaming path must be >= 5x faster

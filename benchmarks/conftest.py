@@ -1,13 +1,12 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper on the synthetic
-evaluation topologies.  Sizes are scaled down (see DESIGN.md §3) so the whole
-harness runs on a laptop in minutes; set ``REPRO_BENCH_SCALE=full`` to use the
-paper-scale topologies instead.
+evaluation topologies.  Sizes are scaled down so the whole harness runs on a
+laptop in minutes; set ``REPRO_BENCH_SCALE=full`` to use the paper-scale
+topologies instead.
 
 Each benchmark prints its paper-style table to stdout (run pytest with ``-s``
-or read the captured output blocks; the output of the final run is recorded
-in EXPERIMENTS.md / bench_output.txt).
+or read the captured output blocks).
 """
 
 from __future__ import annotations

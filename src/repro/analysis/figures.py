@@ -8,8 +8,8 @@ counterparts:
 * clustering ``C(k)`` per degree (Figures 5a, 6c, 7).
 
 Since this reproduction is head-less, each "figure" is a mapping
-``series label -> {x: y}`` that benchmarks render as aligned text tables and
-record in EXPERIMENTS.md; any plotting front-end can consume the same data.
+``series label -> {x: y}`` that benchmarks render as aligned text tables;
+any plotting front-end can consume the same data.
 """
 
 from __future__ import annotations

@@ -35,7 +35,8 @@ Experiment pipeline:
   dK-1/dK-2 distribution to a target size (the paper's §6 rescaling
   extension), streaming-generate the rescaled graph into a memory-mapped CSR
   artifact at 10^6+ nodes with bounded memory, and measure it with sampled
-  Table-2 metrics through the ``biggraph`` kernel backend.
+  Table-2 metrics through the ``csr`` kernel backend, which maps the
+  artifact's CSR arrays directly.
 * ``cache`` -- inspect (``info``, with ``--json`` for the machine-readable
   document ``GET /v1/store/info`` also serves, plus this process's store
   hit/miss/write counters), prune (``gc``) or empty (``clear``) an artifact
@@ -77,6 +78,7 @@ from repro.exceptions import ExperimentError, StoreError
 from repro.experiment import ExperimentSpec, run_experiment
 from repro.generators.registry import available_generators, get_generator
 from repro.graph.io import read_edge_list, read_jdd, write_edge_list, write_jdd
+from repro.kernels.backend import ACCEPTED_BACKENDS
 from repro.measure.plan import MeasurementPlan
 from repro.measure.registry import available_metrics, get_metric_def
 from repro.metrics.summary import summarize
@@ -114,12 +116,12 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         default=None,
-        choices=("python", "csr", "auto"),
+        choices=ACCEPTED_BACKENDS,
         help="kernel backend for metrics and the rewiring engine for "
         "chain-based generation: pure-Python loops, vectorized NumPy "
-        "kernels, or size-based auto-selection (default); metric values are "
-        "identical either way and every engine preserves the dK-invariants "
-        "exactly",
+        "kernels, or size-based auto-selection (default); 'biggraph' is a "
+        "deprecated alias of 'csr'; metric values are identical either way "
+        "and every engine preserves the dK-invariants exactly",
     )
 
 
@@ -658,7 +660,7 @@ def rescale_gen_main(argv: list[str] | None = None) -> int:
     target size, streaming-generates the rescaled graph straight into an
     on-disk memory-mapped CSR artifact (bounded memory, no SimpleGraph ever
     materialized), then measures it with sampled Table-2 metrics through the
-    ``biggraph`` kernel backend.
+    ``csr`` kernel backend, straight on the memory-mapped arrays.
     """
     import time
 

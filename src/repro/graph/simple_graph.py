@@ -53,8 +53,8 @@ class SimpleGraph:
         self._adj: list[set[int]] = [set() for _ in range(n)]
         self._edges: list[Edge] = []
         self._edge_pos: dict[Edge, int] = {}
-        # CSR snapshot memoized by repro.kernels.csr.csr_graph, and the
-        # measurement-intermediate cache of repro.measure.intermediates
+        # CSR snapshot (a BigGraph) memoized by repro.kernels.biggraph.csr_graph,
+        # and the measurement-intermediate cache of repro.measure.intermediates
         # (giant component, BFS sweep, triangle counts, ...); every mutation
         # resets both so kernels never see a stale view
         self._csr_cache = None

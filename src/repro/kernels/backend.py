@@ -8,9 +8,15 @@ implementations:
 
 * ``"python"`` — the original pure-Python loops over :class:`SimpleGraph`
   adjacency sets.  Always available; the reference implementation.
-* ``"csr"``    — vectorized NumPy kernels over a compressed-sparse-row view
-  of the graph (:mod:`repro.kernels.csr`).  Orders of magnitude faster on
-  large graphs; requires NumPy.
+* ``"csr"``    — vectorized NumPy kernels over the one CSR graph type,
+  :class:`~repro.kernels.biggraph.BigGraph`: the cached in-memory snapshot
+  of a SimpleGraph, or a memory-mapped million-node artifact.  Orders of
+  magnitude faster on large graphs; requires NumPy.
+
+``"biggraph"``, the name of the memory-mapped tier's own backend before the
+two NumPy paths became one, is still accepted as a deprecated alias of
+``"csr"`` (:data:`BACKEND_ALIASES`), because stored experiment specs carry
+the backend name.
 
 Callers never import kernel modules directly: the metric functions in
 :mod:`repro.metrics` dispatch through :func:`get_kernel` with a backend name
@@ -22,11 +28,13 @@ and exactly preserves the chain's dK-invariants, but the two engines sample
 different (equally valid) dK-random graphs for one seed.  In both cases the
 backend is a pure execution knob and never enters artifact-store cache keys.
 
-Selection precedence: a per-call ``backend=`` argument, then the process-wide
-setting installed with :func:`use_backend`, then ``"auto"`` (CSR for graphs
-with at least :data:`AUTO_THRESHOLD` nodes when NumPy is importable, python
-otherwise).  When NumPy is absent the CSR backend silently degrades to the
-python one, so the library stays fully functional on a bare interpreter.
+Selection precedence: a BigGraph always runs on ``"csr"`` (it has no
+adjacency sets); otherwise a per-call ``backend=`` argument, then the
+process-wide setting installed with :func:`use_backend`, then ``"auto"``
+(CSR for graphs with at least :data:`AUTO_THRESHOLD` nodes when NumPy is
+importable, python otherwise).  When NumPy is absent the CSR backend
+silently degrades to the python one, so the library stays fully functional
+on a bare interpreter.
 
 ``use_backend`` doubles as a context manager::
 
@@ -51,12 +59,15 @@ try:
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     HAS_NUMPY = False
 
-#: Backend names accepted everywhere (``"auto"`` resolves to one of the others).
-#: ``"biggraph"`` is the out-of-core tier: it is force-selected whenever the
-#: graph object itself is a :class:`~repro.kernels.biggraph.BigGraph`, and can
-#: also be requested explicitly to run the chunked kernels on a SimpleGraph's
-#: CSR view (the bit-equivalence tests do exactly that).
-BACKENDS = ("python", "csr", "biggraph")
+#: The concrete backends every kernel is registered for.
+BACKENDS = ("python", "csr")
+
+#: Deprecated backend names, still accepted, and the backend each one means.
+BACKEND_ALIASES = {"biggraph": "csr"}
+
+#: Every name a caller may pass: the backends, ``"auto"`` and the aliases.
+ACCEPTED_BACKENDS = (*BACKENDS, "auto", *BACKEND_ALIASES)
+
 
 def _int_env(name: str, default: int) -> int:
     try:
@@ -95,21 +106,13 @@ _KERNEL_MODULES: dict[tuple[str, str], str] = {
     ("triangles_per_node", "python"): "repro.kernels.triangles_python",
     ("triangles_per_node", "csr"): "repro.kernels.triangles",
     ("edge_degree_moments", "python"): "repro.kernels.correlations_python",
-    ("edge_degree_moments", "csr"): "repro.kernels.correlations",
+    ("edge_degree_moments", "csr"): "repro.kernels.biggraph",
     ("second_order_total", "python"): "repro.kernels.correlations_python",
-    ("second_order_total", "csr"): "repro.kernels.correlations",
+    ("second_order_total", "csr"): "repro.kernels.biggraph",
     ("jdd_counts", "python"): "repro.kernels.correlations_python",
-    ("jdd_counts", "csr"): "repro.kernels.correlations",
+    ("jdd_counts", "csr"): "repro.kernels.biggraph",
     ("betweenness_accumulate", "python"): "repro.metrics.betweenness",
     ("betweenness_accumulate", "csr"): "repro.kernels.betweenness",
-    # the out-of-core tier: chunked kernels over memory-mapped CSR arrays
-    ("bfs_histogram", "biggraph"): "repro.kernels.biggraph",
-    ("bfs_sweep", "biggraph"): "repro.kernels.biggraph",
-    ("triangles_per_node", "biggraph"): "repro.kernels.biggraph",
-    ("edge_degree_moments", "biggraph"): "repro.kernels.biggraph",
-    ("second_order_total", "biggraph"): "repro.kernels.biggraph",
-    ("jdd_counts", "biggraph"): "repro.kernels.biggraph",
-    ("betweenness_accumulate", "biggraph"): "repro.kernels.biggraph",
     # rewiring engines: "python" = the per-move SimpleGraph loops, "csr" =
     # the batched flat-edge-array engine.  Unlike the metric kernels the two
     # engines draw different random streams, so for one seed they build
@@ -132,11 +135,18 @@ def available_backends() -> tuple[str, ...]:
 
 
 def _validate(name: str) -> str:
-    if name not in (*BACKENDS, "auto"):
+    """``name`` itself, or the backend a deprecated alias stands for."""
+    if name not in ACCEPTED_BACKENDS:
         raise ValueError(
-            f"unknown backend {name!r}; choose one of "
-            f"{', '.join((*BACKENDS, 'auto'))}"
+            f"unknown backend {name!r}; choose one of {', '.join(ACCEPTED_BACKENDS)}"
         )
+    if name in BACKEND_ALIASES:
+        warnings.warn(
+            f"backend {name!r} is a deprecated alias of {BACKEND_ALIASES[name]!r}",
+            DeprecationWarning,
+            stacklevel=3,
+        )
+        return BACKEND_ALIASES[name]
     return name
 
 
@@ -161,7 +171,7 @@ class _BackendSetting:
 def use_backend(name: str) -> _BackendSetting:
     """Install ``name`` ("python", "csr" or "auto") as the process-wide backend."""
     previous = _state["backend"]
-    _state["backend"] = _validate(name)
+    _state["backend"] = name = _validate(name)
     return _BackendSetting(name, previous)
 
 
@@ -178,16 +188,15 @@ def resolve_backend(graph=None, backend: str | None = None) -> str:
     once and degrades to ``"python"`` instead of failing.
     """
     if getattr(graph, "is_biggraph", False):
-        # A BigGraph has no adjacency sets and no in-memory edge arrays —
-        # only the chunked biggraph kernels can touch it.
-        return "biggraph"
+        # A BigGraph has no adjacency sets: only the CSR kernels can touch it.
+        return "csr"
     name = _validate(backend if backend is not None else _state["backend"])
     if name == "auto":
         if not HAS_NUMPY:
             return "python"
         size = 0 if graph is None else graph.number_of_nodes
         return "csr" if size >= AUTO_THRESHOLD else "python"
-    if name in ("csr", "biggraph") and not HAS_NUMPY:
+    if name == "csr" and not HAS_NUMPY:
         global _warned_missing_numpy
         if not _warned_missing_numpy:
             warnings.warn(
@@ -252,6 +261,8 @@ def dispatch(name: str, graph, backend: str | None = None) -> Callable:
 __all__ = [
     "HAS_NUMPY",
     "BACKENDS",
+    "BACKEND_ALIASES",
+    "ACCEPTED_BACKENDS",
     "AUTO_THRESHOLD",
     "available_backends",
     "use_backend",

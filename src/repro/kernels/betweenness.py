@@ -42,10 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.backend import register_kernel
-from repro.kernels.biggraph import _arc_edge_ids
-from repro.kernels.csr import csr_graph
+from repro.kernels.biggraph import _arc_edge_ids, csr_graph
 
 #: Working set one block of sources may use: σ, δ, the forward bincount and
 #: the DAG pair records.  The block width is the largest power of two whose
@@ -148,10 +146,10 @@ def brandes_sweep(
 ) -> tuple[dict[int, int], np.ndarray, np.ndarray | None]:
     """Raw Brandes sweep: ``(histogram, centrality, edge load)``.
 
-    ``csr`` is any CSR-shaped view (``n``/``m``/``degrees``/``indptr``/
-    ``indices``): a :class:`~repro.kernels.csr.CSRGraph` or a memory-mapped
-    BigGraph.  The histogram counts (source, node) pairs per hop distance,
-    self-pairs included and unreachable pairs excluded.  ``edge_load`` is
+    ``csr`` is a :class:`~repro.kernels.biggraph.BigGraph`: the snapshot of
+    a SimpleGraph or a memory-mapped artifact.  The histogram counts
+    (source, node) pairs per hop distance, self-pairs included and
+    unreachable pairs excluded.  ``edge_load`` is
     the per-edge dependency accumulation in sorted canonical edge order, or
     ``None`` unless ``want_edge_load``.  Repeated sources count repeatedly.
     """
@@ -174,7 +172,7 @@ def brandes_sweep(
 
 
 @register_kernel("betweenness_accumulate", "csr")
-def betweenness_accumulate(graph: SimpleGraph, source_nodes: Sequence[int]) -> list[float]:
+def betweenness_accumulate(graph, source_nodes: Sequence[int]) -> list[float]:
     """Raw Brandes accumulation over ``source_nodes`` (no scaling applied)."""
     return brandes_sweep(csr_graph(graph), source_nodes)[1].tolist()
 

@@ -29,9 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.backend import register_kernel
-from repro.kernels.csr import csr_graph
+from repro.kernels.biggraph import csr_graph
 
 #: Upper bound for one block's neighbor-gather buffer (2m × words × 8 bytes).
 MAX_GATHER_BYTES = 256 * 1024 * 1024
@@ -57,12 +56,10 @@ def _block_bits(edge_slots: int) -> int:
 
 
 def histogram_from_csr(csr, source_nodes: Sequence[int]) -> dict[int, int]:
-    """Bit-parallel distance histogram over any CSR-shaped view.
+    """Bit-parallel distance histogram over a CSR graph (a BigGraph).
 
-    ``csr`` only needs ``n`` / ``degrees`` / ``indptr`` / ``indices``
-    attributes, so both :class:`~repro.kernels.csr.CSRGraph` and the
-    memory-mapped BigGraph share this body.  Exact integer counts, identical to the pure-Python
-    BFS sweep (self-pairs included at distance 0, unreachable excluded).
+    Exact integer counts, identical to the pure-Python BFS sweep
+    (self-pairs included at distance 0, unreachable excluded).
     """
     if csr.n == 0 or len(source_nodes) == 0:
         return {}
@@ -97,7 +94,7 @@ def histogram_from_csr(csr, source_nodes: Sequence[int]) -> dict[int, int]:
 
 
 @register_kernel("bfs_histogram", "csr")
-def bfs_histogram(graph: SimpleGraph, source_nodes: Sequence[int]) -> dict[int, int]:
+def bfs_histogram(graph, source_nodes: Sequence[int]) -> dict[int, int]:
     """Counts of (source, node) pairs at each hop distance, sources as given."""
     return histogram_from_csr(csr_graph(graph), source_nodes)
 

@@ -1,27 +1,32 @@
-"""The million-node tier: compact immutable CSR graphs + out-of-core kernels.
+"""The one CSR graph type behind every NumPy kernel, and its chunked kernels.
 
 A :class:`BigGraph` is an immutable graph stored as two flat CSR arrays —
-``indptr`` (int64, ``n + 1`` entries) and ``indices`` (uint32 when
-``n < 2^32``, uint64 otherwise, ``2m`` entries, every row sorted ascending).
-The arrays may be plain ndarrays or ``numpy.memmap`` views of an on-disk
-artifact (see :mod:`repro.graph.mmap_io`), so a 10^7-node topology costs a
-couple of hundred MB of *address space* and only the pages a kernel touches.
+``indptr`` (int64, ``n + 1`` entries) and ``indices`` (``2m`` entries, every
+row sorted ascending).  It comes in two forms with one interface:
 
-The class deliberately duck-types two existing surfaces at once:
+* the **in-memory snapshot** of a :class:`~repro.graph.simple_graph.
+  SimpleGraph`, built by :meth:`BigGraph.from_simple_graph` and cached on
+  the graph by :func:`csr_graph`; its indices stay int64, because NumPy
+  casts any other index dtype on every gather;
+* the **memory-mapped artifact** of the million-node tier (see
+  :mod:`repro.graph.mmap_io`), with uint32 indices when ``n < 2^32``, so a
+  10^7-node topology costs a couple of hundred MB of *address space* and
+  only the pages a kernel touches.
+
+The class deliberately duck-types two surfaces at once:
 
 * the **CSR kernel surface** (``n``/``m``/``indptr``/``indices``/``degrees``)
-  consumed by the bit-parallel BFS and the Brandes accumulator, so those
-  vectorized bodies run on a BigGraph unchanged, and
+  consumed by every ``csr`` kernel, and
 * the **read-only SimpleGraph surface** (``number_of_nodes``, ``degree``,
   ``nodes``, ``average_degree``, ``_measure_cache`` …) consumed by the
-  measurement planner and the shared metric formulas.
+  measurement planner and the shared metric formulas, so a mapped graph is
+  measured directly.
 
-The kernels registered here under the ``"biggraph"`` backend accept a
-BigGraph *or* a SimpleGraph (via its cached CSR snapshot), and produce the
-same exact integer aggregates as the python/csr backends — histogram counts,
-triangle counts and moment sums are order-independent integers, so every
-Table-2 scalar derived from them by the shared formula layer is
-bit-identical across all three backends.
+The degree-correlation kernels registered here walk the arcs in bounded
+chunks of :data:`ARC_CHUNK`, so they run in the same memory on a snapshot
+and on a 10^7-node artifact.  They return exact integer aggregates, so every
+Table-2 scalar derived from them by the shared formula layer is bit-identical
+to the python backend's.
 
 The module imports without NumPy; every entry point then raises
 :class:`BigGraphUnavailableError` with an actionable message instead of an
@@ -29,8 +34,6 @@ The module imports without NumPy; every entry point then raises
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 try:
     import numpy as np
@@ -44,9 +47,6 @@ from repro.kernels.backend import register_kernel
 
 #: Arc positions processed per vectorized batch by the chunked kernels.
 ARC_CHUNK = 4_000_000
-
-#: Candidate (edge, third-vertex) pairs evaluated per triangle batch.
-TRIANGLE_CANDIDATE_BUDGET = 8_000_000
 
 
 class BigGraphUnavailableError(RuntimeError):
@@ -69,11 +69,12 @@ def index_dtype(n: int):
 
 
 class BigGraph:
-    """Immutable CSR graph for the 10^6–10^7 node regime.
+    """Immutable CSR graph: a SimpleGraph snapshot or a mapped artifact.
 
     Construct via :meth:`from_arrays` (trusted, canonical CSR input),
-    :meth:`from_simple_graph`, the streaming :class:`~repro.graph.mmap_io.
-    CSRBuilder`, or :meth:`load` (memory-mapped from an on-disk artifact).
+    :meth:`from_simple_graph` (or :func:`csr_graph`, which caches it), the
+    streaming :class:`~repro.graph.mmap_io.CSRBuilder`, or :meth:`load`
+    (memory-mapped from an on-disk artifact).
     """
 
     is_biggraph = True
@@ -133,12 +134,18 @@ class BigGraph:
 
     @classmethod
     def from_simple_graph(cls, graph) -> "BigGraph":
-        """Snapshot a :class:`SimpleGraph` (test/interop path, not streaming)."""
-        _require_numpy()
-        from repro.kernels.csr import csr_graph
+        """In-memory snapshot of a :class:`SimpleGraph`, int64 indices.
 
-        csr = csr_graph(graph)
-        return cls.from_arrays(csr.indptr, csr.indices)
+        ``O(m log m)``; :func:`csr_graph` pays it once per graph.
+        """
+        _require_numpy()
+        n = graph.number_of_nodes
+        edges = np.asarray(graph.edge_list(), dtype=np.int64).reshape(-1, 2)
+        src = np.concatenate((edges[:, 0], edges[:, 1]))
+        dst = np.concatenate((edges[:, 1], edges[:, 0]))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return cls(indptr, dst[np.lexsort((dst, src))])  # by row, then neighbor
 
     @classmethod
     def load(cls, path) -> "BigGraph":
@@ -185,12 +192,9 @@ class BigGraph:
         pos = int(np.searchsorted(row, v))
         return pos < len(row) and int(row[pos]) == v
 
-    def iter_edge_chunks(self, chunk: int = ARC_CHUNK):
+    def iter_edge_chunks(self):
         """Yield canonical ``(u, v)`` edge chunks (``u < v``), ascending."""
-        for begin in range(0, len(self.indices), chunk):
-            end = min(begin + chunk, len(self.indices))
-            rows = _arc_rows(self, begin, end)
-            neigh = self.indices[begin:end].astype(np.int64)
+        for _, rows, neigh in _arc_chunks(self):
             mask = neigh > rows
             yield rows[mask], neigh[mask]
 
@@ -216,25 +220,39 @@ class BigGraph:
         return f"BigGraph(n={self.n}, m={self.m}{origin})"
 
 
-# ---------------------------------------------------------------------- #
-# shared view helpers
-# ---------------------------------------------------------------------- #
-def _view(graph):
-    """A CSR-attribute view of ``graph`` (itself for BigGraph)."""
+def csr_graph(graph) -> BigGraph:
+    """The CSR form of ``graph``: itself for a BigGraph, else its snapshot.
+
+    A SimpleGraph caches the snapshot in its ``_csr_cache`` slot, and every
+    mutation of the graph drops it, so kernels on an unchanged graph reuse
+    the same arrays.
+    """
     if getattr(graph, "is_biggraph", False):
         return graph
-    from repro.kernels.csr import csr_graph
-
-    return csr_graph(graph)
-
-
-def _arc_rows(view, begin: int, end: int):
-    """Row (origin node) of every arc position in ``[begin, end)``."""
-    positions = np.arange(begin, end, dtype=np.int64)
-    return np.searchsorted(view.indptr, positions, side="right").astype(np.int64) - 1
+    cached = graph._csr_cache
+    if cached is None:
+        cached = graph._csr_cache = BigGraph.from_simple_graph(graph)
+    return cached
 
 
-def _arc_edge_ids(view):
+# ---------------------------------------------------------------------- #
+# chunked arc helpers
+# ---------------------------------------------------------------------- #
+def _arc_chunks(csr):
+    """Yield ``(begin, rows, neighbors)`` per run of :data:`ARC_CHUNK` arcs.
+
+    ``rows[i]`` and ``neighbors[i]`` (both int64) are the two ends of arc
+    ``begin + i``, in CSR order.
+    """
+    total = len(csr.indices)
+    for begin in range(0, total, ARC_CHUNK):
+        end = min(begin + ARC_CHUNK, total)
+        rows = np.searchsorted(csr.indptr, np.arange(begin, end), side="right")
+        rows -= 1
+        yield begin, rows, csr.indices[begin:end].astype(np.int64)
+
+
+def _arc_edge_ids(csr):
     """Canonical edge id of every arc, derived from the CSR arrays alone.
 
     Edge ids follow the *sorted* canonical edge list (``(u, v)`` with
@@ -243,96 +261,49 @@ def _arc_edge_ids(view):
     ``neighbor > row`` in CSR order, so their packed keys come out sorted
     and one ``searchsorted`` per chunk maps every arc to its edge id.
     """
-    n = max(view.n, 1)
-    total = len(view.indices)
-    keys = np.empty(total, dtype=np.int64)
+    n = max(csr.n, 1)
+    keys = np.empty(len(csr.indices), dtype=np.int64)
     edge_keys = []
-    for begin in range(0, total, ARC_CHUNK):
-        end = min(begin + ARC_CHUNK, total)
-        rows = _arc_rows(view, begin, end)
-        neigh = view.indices[begin:end].astype(np.int64)
-        keys[begin:end] = np.minimum(rows, neigh) * n + np.maximum(rows, neigh)
-        edge_keys.append(keys[begin:end][neigh > rows])
+    for begin, rows, neigh in _arc_chunks(csr):
+        chunk = keys[begin : begin + len(rows)]
+        chunk[:] = np.minimum(rows, neigh) * n + np.maximum(rows, neigh)
+        edge_keys.append(chunk[neigh > rows])
     edge_keys = np.concatenate(edge_keys) if edge_keys else keys
-    for begin in range(0, total, ARC_CHUNK):
-        end = min(begin + ARC_CHUNK, total)
-        keys[begin:end] = np.searchsorted(edge_keys, keys[begin:end])
+    for begin in range(0, len(keys), ARC_CHUNK):
+        chunk = keys[begin : begin + ARC_CHUNK]
+        chunk[:] = np.searchsorted(edge_keys, chunk)
     return keys
 
 
 # ---------------------------------------------------------------------- #
-# kernels (backend "biggraph")
+# degree-correlation kernels (backend "csr")
 # ---------------------------------------------------------------------- #
-@register_kernel("bfs_histogram", "biggraph")
-def bfs_histogram(graph, source_nodes: Sequence[int]) -> dict[int, int]:
-    """Distance-pair histogram over ``source_nodes`` (bit-parallel BFS)."""
-    _require_numpy()
-    from repro.kernels.bfs import histogram_from_csr
-
-    return histogram_from_csr(_view(graph), source_nodes)
-
-
-@register_kernel("bfs_sweep", "biggraph")
-def bfs_sweep(
-    graph,
-    source_nodes: Sequence[int],
-    want_betweenness: bool,
-    want_edge_load: bool = False,
-):
-    """Unified sweep: ``(histogram, centrality, edge load)`` — see csr twin."""
-    _require_numpy()
-    from repro.kernels.sweep import sweep_view
-
-    return sweep_view(_view(graph), source_nodes, want_betweenness, want_edge_load)
-
-
-@register_kernel("betweenness_accumulate", "biggraph")
-def betweenness_accumulate(graph, source_nodes: Sequence[int]) -> list[float]:
-    """Raw Brandes accumulation over ``source_nodes`` (no scaling applied)."""
-    _require_numpy()
-    from repro.kernels.betweenness import brandes_sweep
-
-    return brandes_sweep(_view(graph), source_nodes)[1].tolist()
-
-
-@register_kernel("edge_degree_moments", "biggraph")
+@register_kernel("edge_degree_moments", "csr")
 def edge_degree_moments(graph) -> tuple[int, int, int]:
-    """``(Σ k_u·k_v, Σ (k_u+k_v), Σ (k_u²+k_v²))``, chunked over the arcs."""
-    _require_numpy()
-    view = _view(graph)
+    """``(Σ k_u·k_v, Σ (k_u+k_v), Σ (k_u²+k_v²))``, chunked over the edges."""
+    csr = csr_graph(graph)
     sum_prod = sum_ends = sum_ends_sq = 0
-    total = len(view.indices)
-    for begin in range(0, total, ARC_CHUNK):
-        end = min(begin + ARC_CHUNK, total)
-        rows = _arc_rows(view, begin, end)
-        neigh = view.indices[begin:end].astype(np.int64)
-        mask = neigh > rows  # canonical arcs only: each edge counted once
-        ku = view.degrees[rows[mask]]
-        kv = view.degrees[neigh[mask]]
+    for us, vs in csr.iter_edge_chunks():
+        ku = csr.degrees[us]
+        kv = csr.degrees[vs]
         sum_prod += int(np.sum(ku * kv))
         sum_ends += int(np.sum(ku) + np.sum(kv))
         sum_ends_sq += int(np.sum(ku * ku) + np.sum(kv * kv))
     return sum_prod, sum_ends, sum_ends_sq
 
 
-@register_kernel("jdd_counts", "biggraph")
+@register_kernel("jdd_counts", "csr")
 def jdd_counts(graph) -> tuple[dict[tuple[int, int], int], int]:
     """JDD edge counts keyed by sorted degree pair, plus zero-degree nodes."""
-    _require_numpy()
-    view = _view(graph)
-    zero_degree = int(np.count_nonzero(view.degrees == 0)) if view.n else 0
-    if view.m == 0:
+    csr = csr_graph(graph)
+    zero_degree = int(np.count_nonzero(csr.degrees == 0)) if csr.n else 0
+    if csr.m == 0:
         return {}, zero_degree
-    base = int(view.degrees.max()) + 1
+    base = int(csr.degrees.max()) + 1
     merged: dict[int, int] = {}
-    total = len(view.indices)
-    for begin in range(0, total, ARC_CHUNK):
-        end = min(begin + ARC_CHUNK, total)
-        rows = _arc_rows(view, begin, end)
-        neigh = view.indices[begin:end].astype(np.int64)
-        mask = neigh > rows  # canonical arcs only
-        ku = view.degrees[rows[mask]]
-        kv = view.degrees[neigh[mask]]
+    for us, vs in csr.iter_edge_chunks():
+        ku = csr.degrees[us]
+        kv = csr.degrees[vs]
         packed, counts = np.unique(
             np.minimum(ku, kv) * base + np.maximum(ku, kv), return_counts=True
         )
@@ -343,24 +314,28 @@ def jdd_counts(graph) -> tuple[dict[tuple[int, int], int], int]:
     }, zero_degree
 
 
-@register_kernel("second_order_total", "biggraph")
+@register_kernel("second_order_total", "csr")
 def second_order_total(graph) -> int:
-    """``Σ_v [(Σ_{u∈N(v)} k_u)² − Σ_{u∈N(v)} k_u²]``, chunked by node block."""
-    _require_numpy()
-    view = _view(graph)
-    if view.m == 0:
+    """``Σ_v [(Σ_{u∈N(v)} k_u)² − Σ_{u∈N(v)} k_u²]`` — twice the S2 sum.
+
+    Per-row sums of neighbor degrees come from a cumulative sum differenced
+    at the row boundaries (safe for empty rows, unlike ``np.add.reduceat``),
+    one block of nodes at a time.
+    """
+    csr = csr_graph(graph)
+    if csr.m == 0:
         return 0
     total = 0
-    n = view.n
+    n = csr.n
     # pick node blocks whose arc span stays near ARC_CHUNK
-    block = max(1, int(n * ARC_CHUNK / max(len(view.indices), 1)))
+    block = max(1, int(n * ARC_CHUNK / max(len(csr.indices), 1)))
     for begin in range(0, n, block):
         end = min(begin + block, n)
-        lo, hi = int(view.indptr[begin]), int(view.indptr[end])
+        lo, hi = int(csr.indptr[begin]), int(csr.indptr[end])
         if lo == hi:
             continue
-        neighbor_degrees = view.degrees[view.indices[lo:hi].astype(np.int64)]
-        local_indptr = view.indptr[begin : end + 1] - lo
+        neighbor_degrees = csr.degrees[csr.indices[lo:hi].astype(np.int64)]
+        local_indptr = csr.indptr[begin : end + 1] - lo
         cumulative = np.zeros(hi - lo + 1, dtype=np.int64)
         np.cumsum(neighbor_degrees, out=cumulative[1:])
         row_sums = cumulative[local_indptr[1:]] - cumulative[local_indptr[:-1]]
@@ -368,68 +343,6 @@ def second_order_total(graph) -> int:
         row_sq_sums = cumulative[local_indptr[1:]] - cumulative[local_indptr[:-1]]
         total += int(np.sum(row_sums * row_sums - row_sq_sums))
     return total
-
-
-@register_kernel("triangles_per_node", "biggraph")
-def triangles_per_node(graph):
-    """Exact per-node triangle counts via chunked sorted-key intersection.
-
-    For every canonical edge ``(u, v)`` the third-vertex candidates are the
-    neighbors of ``u`` beyond ``v`` in its sorted row; membership in ``N(v)``
-    is one vectorized ``searchsorted`` against the globally ascending packed
-    arc keys ``row·n + neighbor``.  Each triangle ``u < v < w`` is found
-    exactly once, so the counts match the python/csr kernels bit for bit.
-    """
-    _require_numpy()
-    view = _view(graph)
-    n = view.n
-    counts = np.zeros(n, dtype=np.int64)
-    total = len(view.indices)
-    if total == 0:
-        return [0] * n
-    # globally sorted packed arc keys (row-major CSR order is key order)
-    keys = np.empty(total, dtype=np.int64)
-    for begin in range(0, total, ARC_CHUNK):
-        end = min(begin + ARC_CHUNK, total)
-        rows = _arc_rows(view, begin, end)
-        keys[begin:end] = rows * n + view.indices[begin:end].astype(np.int64)
-
-    def _batch(u, v, pos):
-        cand_counts = view.indptr[u + 1] - (pos + 1)
-        # split so one batch's candidate buffer stays bounded
-        cum = np.zeros(len(cand_counts) + 1, dtype=np.int64)
-        np.cumsum(cand_counts, out=cum[1:])
-        start = 0
-        while start < len(u):
-            stop = int(
-                np.searchsorted(cum, cum[start] + TRIANGLE_CANDIDATE_BUDGET, side="left")
-            )
-            stop = max(start + 1, min(stop, len(u)))
-            cc = cand_counts[start:stop]
-            width = int(cum[stop] - cum[start])
-            if width:
-                offsets = np.arange(width, dtype=np.int64)
-                offsets += np.repeat((pos[start:stop] + 1) - (cum[start:stop] - cum[start]), cc)
-                w = view.indices[offsets].astype(np.int64)
-                vkeys = np.repeat(v[start:stop], cc) * n + w
-                loc = np.searchsorted(keys, vkeys)
-                np.minimum(loc, total - 1, out=loc)
-                hit = keys[loc] == vkeys
-                edge_of = np.repeat(np.arange(stop - start, dtype=np.int64), cc)
-                per_edge = np.bincount(edge_of[hit], minlength=stop - start)
-                np.add.at(counts, u[start:stop], per_edge)
-                np.add.at(counts, v[start:stop], per_edge)
-                np.add.at(counts, w[hit], 1)
-            start = stop
-
-    for begin in range(0, total, ARC_CHUNK):
-        end = min(begin + ARC_CHUNK, total)
-        rows = _arc_rows(view, begin, end)
-        neigh = view.indices[begin:end].astype(np.int64)
-        mask = neigh > rows  # canonical arcs
-        if mask.any():
-            _batch(rows[mask], neigh[mask], np.flatnonzero(mask) + begin)
-    return counts.tolist()
 
 
 # ---------------------------------------------------------------------- #
@@ -541,5 +454,9 @@ __all__ = [
     "BigGraph",
     "BigGraphUnavailableError",
     "biggraph_giant_component",
+    "csr_graph",
+    "edge_degree_moments",
     "index_dtype",
+    "jdd_counts",
+    "second_order_total",
 ]

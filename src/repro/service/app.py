@@ -59,6 +59,7 @@ from typing import Any, Callable
 
 from repro.exceptions import ExperimentError, ServiceError, StoreError
 from repro.graph.simple_graph import SimpleGraph
+from repro.kernels.backend import ACCEPTED_BACKENDS
 from repro.measure.plan import MeasurementPlan, encode_metric_value
 from repro.measure.registry import available_metrics
 from repro.service.coalesce import SingleFlight
@@ -819,9 +820,11 @@ class TopologyService:
     @staticmethod
     def _backend(body: dict[str, Any]) -> str | None:
         backend = body.get("backend")
-        if backend is not None and backend not in ("python", "csr", "auto"):
+        if backend is not None and backend not in ACCEPTED_BACKENDS:
             raise HTTPError(
-                400, f"'backend' must be 'python', 'csr' or 'auto', got {backend!r}"
+                400,
+                f"'backend' must be one of {', '.join(ACCEPTED_BACKENDS)}, "
+                f"got {backend!r}",
             )
         return backend
 

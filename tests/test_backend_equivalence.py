@@ -9,6 +9,7 @@ share cached metrics across backends.
 
 from __future__ import annotations
 
+import argparse
 import math
 from dataclasses import fields
 
@@ -17,14 +18,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import cli
 from repro.core.extraction import joint_degree_distribution
 from repro.core.randomness import dk_random_graph
+from repro.exceptions import ExperimentError
 from repro.experiment import ExperimentSpec, _cell_cache_key
+from repro.generators.rewiring.preserving import dk_randomize
 from repro.graph.simple_graph import SimpleGraph
+from repro.kernels.backend import (
+    BACKEND_ALIASES,
+    BACKENDS,
+    current_backend,
+    resolve_backend,
+    use_backend,
+)
 from repro.metrics.distances import distance_distribution, distance_histogram
 from repro.metrics.summary import ScalarMetrics, summarize
+from repro.service.app import TopologyService
+from repro.service.httputil import HTTPError
 from repro.store.artifact_store import ArtifactStore
 from repro.store.memo import memoized_summarize
+from repro.topologies.hot import synthetic_hot_topology
 
 
 def star(n):
@@ -156,3 +170,57 @@ class TestBackendNeverChangesCacheKeys:
     def test_spec_rejects_bad_backend(self):
         with pytest.raises(Exception, match="backend"):
             ExperimentSpec(topologies=("hot_small",), methods=("pseudograph",), backend="gpu")
+
+
+class TestBiggraphAlias:
+    """``"biggraph"`` is a deprecated alias of ``"csr"``, accepted everywhere."""
+
+    def test_alias_resolves_to_csr(self):
+        graph = star(30)
+        with pytest.warns(DeprecationWarning, match="deprecated alias"):
+            assert resolve_backend(graph, "biggraph") == "csr"
+        with pytest.warns(DeprecationWarning), use_backend("biggraph"):
+            assert current_backend() == "csr"
+
+    def test_alias_runs_the_csr_rewiring_engine(self):
+        graph = synthetic_hot_topology(120, rng=2)
+        stats = {}
+        with pytest.warns(DeprecationWarning):
+            out = dk_randomize(graph, 2, rng=1, backend="biggraph", stats=stats)
+        assert stats["engine"] == "csr"
+        assert joint_degree_distribution(out) == joint_degree_distribution(graph)
+
+
+def _cli_accepts(name):
+    parser = argparse.ArgumentParser()
+    cli._add_backend_argument(parser)
+    try:
+        return parser.parse_args(["--backend", name]).backend == name
+    except SystemExit:
+        return False
+
+
+def _service_accepts(name):
+    try:
+        return TopologyService._backend({"backend": name}) == name
+    except HTTPError as error:
+        assert error.status == 400
+        return False
+
+
+def _spec_accepts(name):
+    try:
+        spec = ExperimentSpec(topologies=("hot_small",), methods=("rewiring",), backend=name)
+    except ExperimentError:
+        return False
+    return spec.backend == name
+
+
+@pytest.mark.parametrize(
+    "accepts", [_cli_accepts, _service_accepts, _spec_accepts], ids=["cli", "service", "spec"]
+)
+def test_entry_points_accept_the_registry_backend_names(accepts):
+    for name in (*BACKENDS, "auto", *BACKEND_ALIASES):
+        assert accepts(name), name
+    for name in ("gpu", "CSR", ""):
+        assert not accepts(name), name

@@ -114,10 +114,26 @@ def test_table2_biggraph_matches_csr_backend(hot_small):
     via_big = plan.run(
         BigGraph.from_simple_graph(hot_small),
         rng=np.random.default_rng(0),
-        backend="biggraph",
+        backend="csr",
     )
     for name in TABLE2_CORE_METRICS:
         assert via_big[name] == via_csr[name], name
+
+
+@needs_numpy
+def test_table2_biggraph_backend_alias_runs_csr_kernels(hot_small, tmp_path):
+    from repro.measure.plan import TABLE2_CORE_METRICS, MeasurementPlan
+
+    plan = MeasurementPlan(TABLE2_CORE_METRICS)
+    via_csr = plan.run(hot_small, rng=np.random.default_rng(0), backend="csr")
+    BigGraph.from_simple_graph(hot_small).save(tmp_path / "art")
+    mapped = BigGraph.load(tmp_path / "art")
+    with pytest.warns(DeprecationWarning, match="alias"):
+        via_alias = plan.run(hot_small, rng=np.random.default_rng(0), backend="biggraph")
+    via_mapped = plan.run(mapped, rng=np.random.default_rng(0), backend="biggraph")
+    for name in TABLE2_CORE_METRICS:
+        assert via_alias[name] == via_csr[name], name
+        assert via_mapped[name] == via_csr[name], name
 
 
 @needs_numpy

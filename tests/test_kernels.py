@@ -23,10 +23,10 @@ from repro.kernels.backend import (
     use_backend,
 )
 from repro.kernels import betweenness as betweenness_mod
+from repro.kernels import triangles as triangles_mod
 from repro.kernels.betweenness import brandes_sweep, block_width, sweep_budget_bytes
 from repro.kernels.bfs import bfs_histogram
-from repro.kernels.biggraph import BigGraph
-from repro.kernels.csr import CSRGraph, csr_graph
+from repro.kernels.biggraph import BigGraph, csr_graph
 from repro.metrics.betweenness import node_betweenness
 from repro.metrics.distances import bfs_distances, sample_sources
 
@@ -42,8 +42,11 @@ def mixed_graph():
 
 
 class TestCSRGraph:
+    """The cached BigGraph snapshot every csr kernel runs on."""
+
     def test_layout(self, mixed_graph):
         csr = csr_graph(mixed_graph)
+        assert isinstance(csr, BigGraph)
         assert csr.n == 7
         assert csr.m == 5
         assert list(csr.degrees) == mixed_graph.degrees()
@@ -63,6 +66,23 @@ class TestCSRGraph:
 
     def test_cached_on_instance(self, mixed_graph):
         assert csr_graph(mixed_graph) is csr_graph(mixed_graph)
+
+    def test_biggraph_is_its_own_csr_form(self, mixed_graph):
+        big = BigGraph.from_simple_graph(mixed_graph)
+        assert csr_graph(big) is big
+
+    def test_snapshot_keeps_int64_indices(self, mixed_graph):
+        # numpy casts any non-intp index array on every gather
+        csr = csr_graph(mixed_graph)
+        assert csr.indices.dtype == np.int64
+        assert csr.indptr.dtype == np.int64
+
+    def test_mmap_round_trip_narrows_indices_to_uint32(self, mixed_graph, tmp_path):
+        csr_graph(mixed_graph).save(tmp_path / "art")
+        loaded = BigGraph.load(tmp_path / "art")
+        assert loaded.indices.dtype == np.uint32
+        assert np.array_equal(loaded.indptr, csr_graph(mixed_graph).indptr)
+        assert np.array_equal(loaded.indices, csr_graph(mixed_graph).indices)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -97,7 +117,7 @@ class TestCSRGraph:
 
 class TestBackendRegistry:
     def test_available_backends(self):
-        assert available_backends() == ("python", "csr", "biggraph")
+        assert available_backends() == ("python", "csr")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -340,7 +360,7 @@ class TestSampleSources:
         assert sample_sources(100, 7, rng=42) == sample_sources(100, 7, rng=42)
 
 
-def test_triangle_kernels_agree_on_random_graph():
+def test_triangle_kernels_agree_on_random_graph(tmp_path):
     rng = np.random.default_rng(3)
     graph = SimpleGraph(80)
     while graph.number_of_edges < 400:
@@ -348,9 +368,19 @@ def test_triangle_kernels_agree_on_random_graph():
         if u != v and not graph.has_edge(u, v):
             graph.add_edge(u, v)
     expected = triangles_reference(graph)
-    assert dispatch("triangles_per_node", graph, "csr")(graph) == expected
-    # the numpy-only sorted-intersection path must agree with the scipy one
-    from repro.kernels.csr import csr_graph as build
-    from repro.kernels.triangles import _triangles_by_intersection
-
-    assert list(_triangles_by_intersection(build(graph))) == expected
+    csr = csr_graph(graph)
+    # each strategy on its own: matmul, the set sweep, the chunked sweep
+    assert triangles_mod._triangles_by_matmul(csr).tolist() == expected
+    assert triangles_mod._triangles_chunked(csr).tolist() == expected
+    kernel = get_kernel("triangles_per_node", "csr")
+    assert kernel(graph) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(triangles_mod, "MATMUL_COST_FACTOR", 0)  # force the set sweep
+        assert kernel(graph) == expected
+        patch.setattr(triangles_mod, "MATMUL_COST_FACTOR", 10**9)
+        patch.setattr(triangles_mod, "_sparse", None)  # no scipy: chunked sweep
+        assert kernel(graph) == expected
+    # a memory-mapped BigGraph always takes the chunked sweep
+    csr.save(tmp_path / "art")
+    big = BigGraph.load(tmp_path / "art")
+    assert dispatch("triangles_per_node", big)(big) == expected
