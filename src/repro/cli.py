@@ -91,6 +91,7 @@ from repro.telemetry import (
     write_chrome_trace,
 )
 from repro.topologies.registry import available_topologies, build_topology
+from repro.utils.jsonable import json_safe
 
 
 def _load_graph(source: str):
@@ -809,8 +810,6 @@ def rescale_gen_main(argv: list[str] | None = None) -> int:
     print(f"\npeak RSS: {peak_rss / 2**20:,.0f} MiB")
 
     if args.json:
-        from repro.generators.registry import json_safe
-
         report = {
             "input": args.input,
             "source_nodes": original.number_of_nodes,

@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-import warnings
 import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -58,7 +57,7 @@ import numpy as np
 from repro import telemetry
 from repro.core.distance import graph_dk_distance
 from repro.exceptions import ExperimentError, ExperimentInterrupted
-from repro.generators.registry import get_generator, json_safe
+from repro.generators.registry import get_generator
 from repro.graph.io import read_edge_list
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.backend import ACCEPTED_BACKENDS, dispatch
@@ -70,6 +69,7 @@ from repro.store.keys import code_version, generation_key, stable_hash
 from repro.store.memo import memoized_build, memoized_measure
 from repro.store.serialize import graph_content_hash
 from repro.topologies.registry import available_topologies, build_topology
+from repro.utils.jsonable import json_safe
 from repro.workloads.scenarios import Scenario, apply_scenario, scenario_label
 
 #: Method label reserved for the un-randomized input topology itself.
@@ -127,9 +127,6 @@ class ExperimentSpec:
         All requested metrics are evaluated by one measurement-planner run
         per graph, so shared intermediates (in particular the BFS sweep) are
         computed once regardless of how many metrics consume them.
-    collect_metrics:
-        Deprecated boolean alias kept for backward compatibility:
-        ``collect_metrics=False`` is equivalent to ``metrics=()``.
     compute_spectrum:
         Include the Laplacian eigenvalues in the default metric set (slowest
         metric).  Ignored when an explicit ``metrics=`` is given.
@@ -180,7 +177,6 @@ class ExperimentSpec:
     include_original: bool = False
     skip_unsupported: bool = True
     metrics: Sequence[str] | None = None
-    collect_metrics: bool = True
     compute_spectrum: bool = False
     distance_sources: int | None = None
     dk_distances: bool = False
@@ -213,26 +209,9 @@ class ExperimentSpec:
                 f"method name {ORIGINAL_METHOD!r} is reserved for include_original"
             )
         if self.metrics is None:
-            if self.collect_metrics:
-                resolved = MeasurementPlan.table2(
-                    compute_spectrum=self.compute_spectrum
-                ).metrics
-            else:
-                warnings.warn(
-                    "collect_metrics=False is deprecated; use metrics=() instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-                resolved = ()
+            resolved = MeasurementPlan.table2(compute_spectrum=self.compute_spectrum).metrics
         else:
             resolved = tuple(dict.fromkeys(self.metrics))
-            if not self.collect_metrics and resolved:
-                # metrics=() with collect_metrics=False is consistent (and is
-                # what to_dict() round-trips); a non-empty selection is not
-                raise ExperimentError(
-                    "collect_metrics=False conflicts with a non-empty metrics= "
-                    "selection; drop the deprecated flag"
-                )
             known = available_metrics()
             unknown = [name for name in resolved if name not in known]
             if unknown:
@@ -352,7 +331,6 @@ class ExperimentSpec:
             "seed": self.seed,
             "include_original": self.include_original,
             "metrics": list(self.metrics),
-            "collect_metrics": bool(self.metrics),
             "compute_spectrum": self.compute_spectrum,
             "distance_sources": self.distance_sources,
             "dk_distances": self.dk_distances,
@@ -870,30 +848,19 @@ def _execute_cell_impl(
     else:
         generator = get_generator(cell.method)
         options = spec.generator_options.get(cell.method, {})
+        generated = memoized_build(
+            generator,
+            original,
+            cell.d,
+            seed=cell.seed,
+            store=store,
+            options=options,
+            source_hash=topology_hash,
+            read=read_cache,
+            backend=spec.backend,
+        )
         if store is not None:
-            generated = memoized_build(
-                generator,
-                original,
-                cell.d,
-                seed=cell.seed,
-                store=store,
-                options=options,
-                source_hash=topology_hash,
-                read=read_cache,
-                backend=spec.backend,
-            )
             graph_key = generation_key(cell.method, options, cell.seed, topology_hash, d=cell.d)
-        else:
-            with telemetry.span(
-                "generate", method=cell.method, d=cell.d, seed=cell.seed
-            ):
-                generated = generator.build(
-                    original,
-                    cell.d,
-                    rng=np.random.default_rng(cell.seed),
-                    backend=spec.backend,
-                    **options,
-                )
         graph = generated.graph
         graph_hash = generated.content_hash  # set iff a store was involved
         stats = generated.stats

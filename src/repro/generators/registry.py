@@ -49,6 +49,7 @@ from repro.generators.rewiring.preserving import dk_randomize
 from repro.generators.rewiring.targeting import dk_targeting_result
 from repro.generators.stochastic import stochastic_0k, stochastic_1k, stochastic_2k
 from repro.graph.simple_graph import SimpleGraph
+from repro.utils.jsonable import json_safe  # re-exported: long-standing public name
 from repro.utils.rng import RngLike, ensure_rng
 
 InputKind = Literal["graph", "distribution"]
@@ -258,23 +259,6 @@ def get_generator(name: str) -> GeneratorSpec:
 def available_generators() -> dict[str, GeneratorSpec]:
     """Mapping of registered generator names to their specs (sorted by name)."""
     return {name: _REGISTRY[name] for name in sorted(_REGISTRY)}
-
-
-def json_safe(value: Any) -> Any:
-    """Recursively coerce numpy scalars/arrays and containers to JSON-native types."""
-    if isinstance(value, dict):
-        return {str(key): json_safe(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe(item) for item in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted((json_safe(item) for item in value), key=repr)
-    if isinstance(value, bool):
-        return value
-    if hasattr(value, "tolist"):  # numpy array (or scalar)
-        return value.tolist()
-    if hasattr(value, "item"):  # other numpy-like scalar
-        return value.item()
-    return value
 
 
 # --------------------------------------------------------------------------- #

@@ -36,17 +36,20 @@ deadline (``504`` on expiry; the computation still completes and warms the
 store).  Every request is logged as one structured JSON line on the
 ``repro.service`` logger.
 
-The module is importable without NumPy: everything NumPy-dependent (the
-store, generators, the experiment pipeline) is imported lazily per request,
-so a bare interpreter can still serve ``/v1/measure`` on the pure-Python
-planner path (the CI no-numpy job does exactly that).
+The module is importable without NumPy, and so is the artifact store: only
+the generators and the experiment pipeline need NumPy, and they are
+imported lazily per request.  A bare interpreter therefore serves
+``/v1/measure`` and ``/v1/workload`` on the pure-Python planner path, with
+or without a store (the CI no-numpy job does both).  Every compute handler
+has one body: :func:`~repro.store.memo.memoized_build` /
+``memoized_measure`` decide between store and no store, and the request
+key is the same either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import hashlib
 import json
 import logging
 import re
@@ -60,7 +63,7 @@ from typing import Any, Callable
 from repro.exceptions import ExperimentError, ServiceError, StoreError
 from repro.graph.simple_graph import SimpleGraph
 from repro.kernels.backend import ACCEPTED_BACKENDS
-from repro.measure.plan import MeasurementPlan, encode_metric_value
+from repro.measure.plan import encode_metric_value
 from repro.measure.registry import available_metrics
 from repro.service.coalesce import SingleFlight
 from repro.service.httputil import (
@@ -72,39 +75,14 @@ from repro.service.httputil import (
 )
 from repro.service.jobs import JobManager
 from repro.service.stats import ServiceStats
+from repro.store.artifact_store import ArtifactStore
+from repro.store.keys import generation_key, stable_hash
+from repro.store.memo import measure_entry_keys, memoized_build, memoized_measure
+from repro.store.serialize import graph_content_hash
 from repro.telemetry import counter_value, render_prometheus, span
+from repro.utils.jsonable import json_safe
 
 log = logging.getLogger("repro.service")
-
-
-def _json_safe(value: Any) -> Any:
-    """NumPy-free twin of :func:`repro.generators.registry.json_safe`.
-
-    Duck-typed on ``tolist``/``item`` so it coerces NumPy scalars when they
-    are present without ever importing NumPy (the service must serve the
-    pure-Python measure path on a bare interpreter).
-    """
-    if isinstance(value, dict):
-        return {str(key): _json_safe(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(item) for item in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted((_json_safe(item) for item in value), key=repr)
-    if isinstance(value, bool):
-        return value
-    if hasattr(value, "tolist"):
-        return value.tolist()
-    if hasattr(value, "item"):
-        return value.item()
-    return value
-
-
-def _local_key(payload: Any) -> str:
-    """Coalescing key for store-less deployments (NumPy-free stable hash)."""
-    canonical = json.dumps(
-        _json_safe(payload), sort_keys=True, separators=(",", ":"), default=repr
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -137,7 +115,7 @@ class TopologyService:
         self.config = config or ServiceConfig()
         self.stats = ServiceStats()
         self.flights = SingleFlight()
-        self.store = self._open_store(self.config.store)
+        self.store = ArtifactStore.coerce(self.config.store)
         self.jobs = JobManager(self.store, max_active=self.config.max_jobs)
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="repro-compute"
@@ -148,17 +126,9 @@ class TopologyService:
         self._topologies: dict[str, SimpleGraph] = {}
         self._topology_hashes: dict[str, str] = {}
         # degraded-graph cache of /v1/workload: (source, scenario, seed) ->
-        # (graph, stats, content_hash | None); bounded FIFO
-        self._degraded: dict[tuple, tuple[SimpleGraph, dict, str | None]] = {}
+        # (graph, stats, content_hash); bounded FIFO
+        self._degraded: dict[tuple, tuple[SimpleGraph, dict, str]] = {}
         self._routes = self._build_routes()
-
-    @staticmethod
-    def _open_store(store: str | Path | None):
-        if store is None:
-            return None
-        from repro.store.artifact_store import ArtifactStore  # needs NumPy
-
-        return ArtifactStore.coerce(store)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -297,16 +267,21 @@ class TopologyService:
 
     def _content_hash(self, graph: SimpleGraph, label: str | None) -> str:
         """Canonical content hash, cached per registered-topology label."""
-        if label is not None:
-            cached = self._topology_hashes.get(label)
-            if cached is not None:
-                return cached
-        from repro.store.serialize import graph_content_hash
-
-        digest = graph_content_hash(graph)
-        if label is not None:
-            self._topology_hashes[label] = digest
+        if label is None:
+            return graph_content_hash(graph)
+        digest = self._topology_hashes.get(label)
+        if digest is None:
+            digest = self._topology_hashes[label] = graph_content_hash(graph)
         return digest
+
+    def _metrics_warm(
+        self, graph_hash: str, metrics: tuple[str, ...], **params: Any
+    ) -> bool:
+        """Whether the store already holds every requested metric of a graph."""
+        if self.store is None:
+            return False
+        keys = measure_entry_keys(graph_hash, metrics, **params)
+        return all(self.store.get_metric(key) is not None for key in keys.values())
 
     # ------------------------------------------------------------------ #
     # handlers
@@ -405,7 +380,6 @@ class TopologyService:
                 UnknownGeneratorError,
                 UnsupportedLevelError,
                 get_generator,
-                json_safe,
             )
         except ImportError:
             raise HTTPError(501, "graph generation requires NumPy on the server") from None
@@ -429,42 +403,21 @@ class TopologyService:
             raise HTTPError(400, str(error)) from None
 
         graph, label = self._resolve_source(body)
-        if self.store is not None:
-            from repro.store.keys import generation_key
-            from repro.store.memo import memoized_build
+        source_hash = self._content_hash(graph, label)
+        key = generation_key(method, options, seed, source_hash, d=d)
+        warm = self.store is not None and self.store.has_graph(key)
 
-            source_hash = self._content_hash(graph, label)
-            key = generation_key(method, options, seed, source_hash, d=d)
-            warm = self.store.has_graph(key)
-            store = self.store
-
-            def compute():
-                return memoized_build(
-                    spec,
-                    graph,
-                    d,
-                    seed=seed,
-                    store=store,
-                    options=options,
-                    source_hash=source_hash,
-                    backend=backend,
-                )
-
-        else:
-            key = _local_key(
-                {
-                    "kind": "service-generate",
-                    "source": label or _edges_digest(graph),
-                    "method": method,
-                    "d": d,
-                    "seed": seed,
-                    "options": options,
-                }
+        def compute():
+            return memoized_build(
+                spec,
+                graph,
+                d,
+                seed=seed,
+                store=self.store,
+                options=options,
+                source_hash=source_hash,
+                backend=backend,
             )
-            warm = False
-
-            def compute():
-                return spec.build(graph, d, rng=seed, backend=backend, **options)
 
         result, cache = await self._keyed_compute(key, warm, compute, self._timeout(body))
         payload = {
@@ -505,71 +458,43 @@ class TopologyService:
         backend = self._backend(body)
 
         graph, label = self._resolve_source(body)
-        if self.store is not None:
-            from repro.store.memo import measure_entry_keys, memoized_measure
+        graph_hash = self._content_hash(graph, label)
+        warm = self._metrics_warm(
+            graph_hash,
+            metrics,
+            use_giant_component=use_giant_component,
+            distance_sources=distance_sources,
+        )
+        key = stable_hash(
+            {
+                "kind": "service-measure",
+                "graph": graph_hash,
+                "metrics": sorted(metrics),
+                "use_giant_component": use_giant_component,
+                "distance_sources": distance_sources,
+                "seed": seed,
+            }
+        )
 
-            graph_hash = self._content_hash(graph, label)
-            entry_keys = measure_entry_keys(
-                graph_hash,
-                metrics,
+        def compute():
+            start = time.perf_counter()
+            measurement = memoized_measure(
+                graph,
+                self.store,
+                metrics=metrics,
+                graph_hash=graph_hash,
                 use_giant_component=use_giant_component,
                 distance_sources=distance_sources,
+                rng=seed,
+                backend=backend,
             )
-            store = self.store
-            warm = all(store.get_metric(k) is not None for k in entry_keys.values())
-            key = _local_key(
-                {
-                    "kind": "service-measure",
-                    "graph": graph_hash,
-                    "metrics": sorted(metrics),
-                    "use_giant_component": use_giant_component,
-                    "distance_sources": distance_sources,
-                    "seed": seed,
-                }
-            )
-
-            def compute():
-                start = time.perf_counter()
-                measurement = memoized_measure(
-                    graph,
-                    store,
-                    metrics=metrics,
-                    graph_hash=graph_hash,
-                    use_giant_component=use_giant_component,
-                    distance_sources=distance_sources,
-                    rng=seed,
-                    backend=backend,
-                )
-                return measurement, time.perf_counter() - start
-
-        else:
-            plan = MeasurementPlan(
-                metrics,
-                use_giant_component=use_giant_component,
-                distance_sources=distance_sources,
-            )
-            key = _local_key(
-                {
-                    "kind": "service-measure",
-                    "source": label or _edges_digest(graph),
-                    "metrics": sorted(metrics),
-                    "use_giant_component": use_giant_component,
-                    "distance_sources": distance_sources,
-                    "seed": seed,
-                }
-            )
-            warm = False
-
-            def compute():
-                start = time.perf_counter()
-                measurement = plan.run(graph, rng=seed, backend=backend)
-                return measurement, time.perf_counter() - start
+            return measurement, time.perf_counter() - start
 
         (measurement, wall), cache = await self._keyed_compute(
             key, warm, compute, self._timeout(body)
         )
         values = {
-            name: _json_safe(encode_metric_value(name, measurement[name]))
+            name: json_safe(encode_metric_value(name, measurement[name]))
             for name in metrics
         }
         return 200, {
@@ -614,14 +539,10 @@ class TopologyService:
         backend = self._backend(body)
 
         graph, label = self._resolve_source(body)
-        store = self.store
-        if store is not None:
-            source_id = self._content_hash(graph, label)
-        else:
-            source_id = label or _edges_digest(graph)
+        source_id = self._content_hash(graph, label)
         degraded_key = (source_id, scenario_label(scenario), scenario_seed)
 
-        def transform() -> tuple[SimpleGraph, dict | None, str | None]:
+        def transform() -> tuple[SimpleGraph, dict | None, str]:
             """The graph to measure: ``(graph, scenario_stats, content_hash)``.
 
             Degraded graphs are cached in-process so repeated scenario
@@ -629,70 +550,45 @@ class TopologyService:
             transform and — for ``hub_load`` — its ranking sweep.
             """
             if scenario is None:
-                return graph, None, source_id if store is not None else None
+                return graph, None, source_id
             entry = self._degraded.get(degraded_key)
             if entry is None:
                 degraded, stats = apply_scenario(graph, scenario, rng=scenario_seed)
-                digest = None
-                if store is not None:
-                    from repro.store.serialize import graph_content_hash
-
-                    digest = graph_content_hash(degraded)
                 if len(self._degraded) >= 32:
                     self._degraded.pop(next(iter(self._degraded)))
-                entry = (degraded, stats, digest)
+                entry = (degraded, stats, graph_content_hash(degraded))
                 self._degraded[degraded_key] = entry
             return entry
 
-        warm = False
-        if store is not None:
-            from repro.store.memo import measure_entry_keys, memoized_measure
+        # a degraded graph not yet transformed has no hash: its request is cold
+        cached_entry = (
+            (graph, None, source_id)
+            if scenario is None
+            else self._degraded.get(degraded_key)
+        )
+        warm = cached_entry is not None and self._metrics_warm(
+            cached_entry[2],
+            metrics,
+            use_giant_component=use_giant_component,
+            distance_sources=distance_sources,
+        )
 
-            cached_entry = (
-                (graph, None, source_id)
-                if scenario is None
-                else self._degraded.get(degraded_key)
-            )
-            if cached_entry is not None and cached_entry[2] is not None:
-                entry_keys = measure_entry_keys(
-                    cached_entry[2],
-                    metrics,
-                    use_giant_component=use_giant_component,
-                    distance_sources=distance_sources,
-                )
-                warm = all(
-                    store.get_metric(k) is not None for k in entry_keys.values()
-                )
-
-            def compute():
-                start = time.perf_counter()
-                work, stats, work_hash = transform()
-                measurement = memoized_measure(
-                    work,
-                    store,
-                    metrics=metrics,
-                    graph_hash=work_hash,
-                    use_giant_component=use_giant_component,
-                    distance_sources=distance_sources,
-                    rng=seed,
-                    backend=backend,
-                )
-                return work, stats, measurement, time.perf_counter() - start
-
-        else:
-            plan = MeasurementPlan(
-                metrics,
+        def compute():
+            start = time.perf_counter()
+            work, stats, work_hash = transform()
+            measurement = memoized_measure(
+                work,
+                self.store,
+                metrics=metrics,
+                graph_hash=work_hash,
                 use_giant_component=use_giant_component,
                 distance_sources=distance_sources,
+                rng=seed,
+                backend=backend,
             )
+            return work, stats, measurement, time.perf_counter() - start
 
-            def compute():
-                start = time.perf_counter()
-                work, stats, _ = transform()
-                measurement = plan.run(work, rng=seed, backend=backend)
-                return work, stats, measurement, time.perf_counter() - start
-
-        key = _local_key(
+        key = stable_hash(
             {
                 "kind": "service-workload",
                 "source": source_id,
@@ -708,14 +604,14 @@ class TopologyService:
             key, warm, compute, self._timeout(body)
         )
         values = {
-            name: _json_safe(encode_metric_value(name, measurement[name]))
+            name: json_safe(encode_metric_value(name, measurement[name]))
             for name in metrics
         }
         return 200, {
             "key": key,
             "cache": cache,
             "scenario": scenario_label(scenario),
-            "scenario_stats": _json_safe(stats),
+            "scenario_stats": json_safe(stats),
             "nodes": work.number_of_nodes,
             "edges_count": work.number_of_edges,
             "metrics": values,
@@ -967,11 +863,6 @@ class TopologyService:
         )
         await writer.drain()
         return request.keep_alive
-
-
-def _edges_digest(graph: SimpleGraph) -> str:
-    """Cheap canonical digest of an inline-edges source (no store needed)."""
-    return _local_key({"n": graph.number_of_nodes, "edges": sorted(graph.edges())})
 
 
 class ServiceThread:

@@ -14,7 +14,12 @@ content key:
   :func:`memoized_measure` / :func:`memoized_summarize` facades over the
   generator registry and the measurement planner, with metric-granular
   cache entries (widening a measured metric set computes only the new
-  metrics).
+  metrics).  They also own ``store=None``: without a store they compute
+  eagerly, so callers keep one code path.
+
+The subsystem imports without NumPy (the generator registry is loaded
+lazily by :func:`memoized_build`), so a bare interpreter can memoize
+pure-Python measurements.
 
 :func:`repro.experiment.run_experiment` accepts ``store=`` / ``resume=`` to
 persist per-cell manifests and skip completed cells; the ``repro`` CLI

@@ -15,7 +15,7 @@ need no locking — every write goes to a unique temporary name in the same
 directory and is published with an atomic :func:`os.replace`; whichever
 writer loses the race simply discards its copy.
 
-Maintenance is exposed as :meth:`ArtifactStore.info`,
+Maintenance is exposed as :meth:`ArtifactStore.info_dict`,
 :meth:`ArtifactStore.gc` (drop entries from other code versions, orphaned
 metric/cell entries and stale temporaries) and
 :meth:`ArtifactStore.clear`, mirrored by the ``repro cache`` CLI.
@@ -322,10 +322,6 @@ class ArtifactStore:
         counts["category_bytes"] = category_bytes
         counts["total_bytes"] = sum(category_bytes.values())
         return counts
-
-    def info(self) -> dict[str, Any]:
-        """Alias of :meth:`info_dict` (the historical name)."""
-        return self.info_dict()
 
     #: Temporaries younger than this are presumed to belong to a live writer.
     GC_TMP_AGE_SECONDS = 3600.0

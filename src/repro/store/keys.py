@@ -20,6 +20,9 @@ vectorized engine's batch size) select *how* a result is computed, not what
 it is — metric values are bit-identical across backends, and generated
 graphs are per-seed deterministic and invariant-exact on every engine — so
 entries are shared across backends in both directions.
+
+The module is NumPy-free (:func:`~repro.utils.jsonable.json_safe` duck-types
+NumPy values), so the whole store imports on a bare interpreter.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import hashlib
 import json
 from typing import Any, Mapping
 
-from repro.generators.registry import json_safe
+from repro.utils.jsonable import json_safe
 
 #: Bump when the on-disk layout or key derivation changes incompatibly.
 STORE_SCHEMA_VERSION = 1
@@ -45,7 +48,7 @@ def stable_hash(payload: Any) -> str:
     """SHA-256 of the canonical JSON form of ``payload``.
 
     ``payload`` may contain numpy scalars/arrays, sets and tuples; they are
-    coerced with :func:`repro.generators.registry.json_safe` first, and any
+    coerced with :func:`repro.utils.jsonable.json_safe` first, and any
     remaining exotic object falls back to its ``repr`` — attaching a store
     must never make a spec unhashable that runs fine eagerly.  Dict ordering
     does not affect the digest.

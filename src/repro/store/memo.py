@@ -22,10 +22,18 @@ Facades that keep the eager APIs' signatures but read/write an
   ``memoized_measure`` over the full scalar battery, rendered as a
   :class:`~repro.metrics.summary.ScalarMetrics`.
 
-All degrade to the eager computation when ``store`` is ``None``.  Note the
-one caveat of memoizing sampled metrics: when ``distance_sources`` is set,
-cached values reflect the BFS sample of whichever run computed them (the
-``rng`` cannot be part of the key), and the traversal metrics of one
+These facades are the one place that decides between store and no store:
+with ``store=None`` they run the eager computation (still under the same
+``store.generate``/``store.measure`` spans, tagged ``cache="off"``), so
+callers — the experiment pipeline, the CLI, the topology service — keep a
+single code path whether or not a cache sits beneath them.  The generator
+registry (NumPy-dependent) is imported lazily, and ``json_safe`` comes from
+the NumPy-free :mod:`repro.utils.jsonable`, so ``import repro.store`` works
+on a bare interpreter.
+
+Note the one caveat of memoizing sampled metrics: when ``distance_sources``
+is set, cached values reflect the BFS sample of whichever run computed them
+(the ``rng`` cannot be part of the key), and the traversal metrics of one
 request are always recomputed *together* so they describe a single sample;
 exact metrics — the default — are unaffected.
 """
@@ -33,9 +41,8 @@ exact metrics — the default — are unaffected.
 from __future__ import annotations
 
 import uuid
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.generators.registry import GenerationResult, GeneratorSpec, json_safe
 from repro.graph.simple_graph import SimpleGraph
 from repro.measure.intermediates import shared_giant_size
 from repro.measure.plan import (
@@ -50,7 +57,11 @@ from repro.store.artifact_store import ArtifactStore
 from repro.store.keys import code_version, generation_key, metric_key
 from repro.store.serialize import graph_content_hash
 from repro.telemetry import counter_inc, span
+from repro.utils.jsonable import json_safe
 from repro.utils.rng import RngLike
+
+if TYPE_CHECKING:
+    from repro.generators.registry import GenerationResult, GeneratorSpec
 
 #: Legacy metric name of the monolithic Table-2 block (store entries are now
 #: metric-granular; kept for reference and external tooling).
@@ -83,6 +94,8 @@ def memoized_build(
     kernels).  Which engine generated a cached graph is recorded in its
     manifest stats.
     """
+    from repro.generators.registry import GenerationResult  # needs NumPy
+
     options = dict(options or {})
     if store is None:
         with span("store.generate", method=spec.name, d=d, seed=seed, cache="off") as sp:

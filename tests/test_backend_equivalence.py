@@ -143,11 +143,11 @@ class TestBackendNeverChangesCacheKeys:
         graph = star(30)
         store = ArtifactStore(tmp_path / "store")
         first = memoized_summarize(graph, store, compute_spectrum=False, backend="csr")
-        written = store.info()["metrics"]
+        written = store.info_dict()["metrics"]
         assert written == 9  # one metric-granular entry per Table-2 scalar
         # the python run is served the CSR-computed entries: same keys, no write
         second = memoized_summarize(graph, store, compute_spectrum=False, backend="python")
-        assert store.info()["metrics"] == written
+        assert store.info_dict()["metrics"] == written
         assert first == second
 
     def test_experiment_cell_key_ignores_backend(self):

@@ -167,7 +167,7 @@ def test_keep_graphs_restores_graphs_from_store(store, hot_small):
         methods=("rewiring",),
         d_levels=(2,),
         seed=5,
-        collect_metrics=False,
+        metrics=(),
         keep_graphs=True,
         include_original=True,
     )
@@ -186,7 +186,7 @@ def test_missing_graph_artifact_forces_recompute(store, hot_small):
         methods=("rewiring",),
         d_levels=(2,),
         seed=5,
-        collect_metrics=False,
+        metrics=(),
         keep_graphs=True,
     )
     cold = run_experiment(spec, store=store)
@@ -260,7 +260,7 @@ def test_cli_cache_clear_works_on_schema_mismatch(tmp_path, capsys):
         cache_main(["info", "--store", str(store_dir)])
     # ... but clear (the recommended remediation) still works
     assert cache_main(["clear", "--store", str(store_dir)]) == 0
-    assert ArtifactStore(store_dir).info()["cells"] == 0
+    assert ArtifactStore(store_dir).info_dict()["cells"] == 0
 
 
 def test_cli_run_experiment_reports_store_error(tmp_path):
@@ -297,4 +297,4 @@ def test_cli_cache_info_gc_clear(tmp_path, capsys):
     capsys.readouterr()
     assert cache_main(["clear", "--store", str(store_dir)]) == 0
     assert "cleared" in capsys.readouterr().out
-    assert ArtifactStore(store_dir).info()["cells"] == 0
+    assert ArtifactStore(store_dir).info_dict()["cells"] == 0

@@ -282,7 +282,7 @@ def test_widening_metric_set_computes_only_new_metrics(tmp_path, counting_sweep)
     first = memoized_measure(
         graph, store, metrics=("mean_distance", "mean_clustering"), backend="python"
     )
-    assert store.info()["metrics"] == 2
+    assert store.info_dict()["metrics"] == 2
     assert len(counting_sweep) == 1
 
     # widen on a fresh graph object (cold in-process caches): the cached
@@ -305,7 +305,7 @@ def test_widening_metric_set_computes_only_new_metrics(tmp_path, counting_sweep)
         )
     finally:
         kernel_backend._KERNELS[("triangles_per_node", "python")] = real_triangles
-    assert store.info()["metrics"] == 4
+    assert store.info_dict()["metrics"] == 4
     # distance_std needed a sweep (mean_distance's cached value has no
     # histogram), transitivity a triangle pass; mean_clustering did NOT
     # recount triangles — it was a store read
@@ -332,7 +332,7 @@ def test_distance_sources_only_invalidates_traversal_metrics(tmp_path):
     memoized_measure(
         graph, store, metrics=("mean_distance", "mean_clustering"), backend="python"
     )
-    assert store.info()["metrics"] == 2
+    assert store.info_dict()["metrics"] == 2
     memoized_measure(
         graph,
         store,
@@ -342,7 +342,7 @@ def test_distance_sources_only_invalidates_traversal_metrics(tmp_path):
         backend="python",
     )
     # mean_distance got a new (sampled) entry; mean_clustering was reused
-    assert store.info()["metrics"] == 3
+    assert store.info_dict()["metrics"] == 3
 
 
 # --------------------------------------------------------------------------- #
@@ -386,18 +386,13 @@ def test_experiment_metrics_validation_and_aliases(hot_small):
         ExperimentSpec(
             topologies=(hot_small,), methods=("pseudograph",), metrics=("nope",)
         )
-    with pytest.warns(DeprecationWarning, match="collect_metrics"):
-        spec = ExperimentSpec(
+    # the deprecated collect_metrics alias is gone: metrics=() is the spelling
+    with pytest.raises(TypeError, match="collect_metrics"):
+        ExperimentSpec(
             topologies=(hot_small,), methods=("pseudograph",), collect_metrics=False
         )
+    spec = ExperimentSpec(topologies=(hot_small,), methods=("pseudograph",), metrics=())
     assert spec.metrics == ()
-    with pytest.raises(Exception, match="conflicts"):
-        ExperimentSpec(
-            topologies=(hot_small,),
-            methods=("pseudograph",),
-            collect_metrics=False,
-            metrics=("mean_distance",),
-        )
 
 
 def test_experiment_subset_resume_roundtrip(tmp_path, hot_small):
@@ -535,7 +530,7 @@ def test_clamped_distance_sources_cache_like_exact(tmp_path, counting_sweep):
     # one sweep per planner run; the widened run's sweep served distance_std
     # while mean_distance stayed a store read (no group recompute)
     assert len(counting_sweep) == 2
-    assert store.info()["metrics"] == 2
+    assert store.info_dict()["metrics"] == 2
     assert widened["mean_distance"] == mean_distance(giant_component(graph))
 
 
@@ -552,7 +547,6 @@ def test_spec_to_dict_round_trips(hot_small):
             topologies=(hot_small,),
             methods=tuple(config["methods"]),
             metrics=tuple(config["metrics"]),
-            collect_metrics=config["collect_metrics"],
             compute_spectrum=config["compute_spectrum"],
         )
         assert rebuilt.metrics == spec.metrics

@@ -1,9 +1,10 @@
 """NumPy-free service tests: HTTP framing, single-flight, stats, measure path.
 
 This module runs in both CI configurations.  On the no-numpy job it is the
-service's fallback coverage: the daemon must import, start, serve
-``/v1/measure`` through the pure-Python measurement planner, and answer
-``501`` (not crash) for the NumPy-dependent endpoints.
+service's fallback coverage: the daemon must import, start (with or without
+an artifact store), serve ``/v1/measure`` and ``/v1/workload`` through the
+pure-Python measurement planner, and answer ``501`` (not crash) for the
+NumPy-dependent endpoints.
 """
 
 from __future__ import annotations
@@ -358,3 +359,31 @@ def test_numpy_dependent_endpoints_answer_501(bare_service):
         return statuses
 
     assert scenario(bare_service, probe) == {"generate": 501, "experiments": 501}
+
+
+# --------------------------------------------------------------------------- #
+# the store-backed daemon on the pure-Python measurement path
+# --------------------------------------------------------------------------- #
+def test_store_backed_service_serves_repeats_from_the_store(bare_service, tmp_path):
+    # the store imports without numpy, so a store-backed daemon starts on a
+    # bare interpreter and answers repeated requests from its store
+    async def measure(client):
+        return await client.measure(
+            metrics=["average_degree", "mean_distance"], edges=EDGES, backend="python"
+        )
+
+    async def repeats(client):
+        measures = [await measure(client) for _ in range(2)]
+        workloads = [
+            await client.workload(edges=EDGES, scenario="hub_degree:0.1", backend="python")
+            for _ in range(2)
+        ]
+        return measures, workloads
+
+    with ServiceThread(ServiceConfig(port=0, store=tmp_path, workers=2)) as handle:
+        measures, workloads = scenario(handle, repeats)
+    for first, second in (measures, workloads):
+        assert (first["cache"], second["cache"]) == ("miss", "hit")
+        assert second["metrics"] == first["metrics"]
+    # one key derivation: attaching a store does not change a request's key
+    assert scenario(bare_service, measure)["key"] == measures[0]["key"]

@@ -89,12 +89,12 @@ def test_metric_and_cell_roundtrip(store):
 
 
 def test_info_counts_entries(store, triangle_graph):
-    info = store.info()
+    info = store.info_dict()
     assert (info["graphs"], info["metrics"], info["cells"]) == (0, 0, 0)
     store.put_graph("cc" + "0" * 62, triangle_graph)
     store.put_metric("dd33", {"value": 1})
     store.put_cell("ee44", {"row": {}})
-    info = store.info()
+    info = store.info_dict()
     assert (info["graphs"], info["metrics"], info["cells"]) == (1, 1, 1)
     assert info["total_bytes"] > 0
 
@@ -103,7 +103,7 @@ def test_clear_removes_everything(store, triangle_graph):
     store.put_graph("cc" + "0" * 62, triangle_graph)
     store.put_metric("dd33", {"value": 1})
     store.clear()
-    info = store.info()
+    info = store.info_dict()
     assert (info["graphs"], info["metrics"], info["cells"]) == (0, 0, 0)
     # the store stays usable after a clear
     store.put_metric("dd33", {"value": 1})
@@ -154,7 +154,7 @@ def test_wipe_resets_a_schema_mismatched_store(tmp_path, triangle_graph):
         ArtifactStore(root)
     ArtifactStore.wipe(root)
     reopened = ArtifactStore(root)  # fresh marker, empty store
-    assert reopened.info()["graphs"] == 0
+    assert reopened.info_dict()["graphs"] == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -241,7 +241,7 @@ def test_memoized_summarize_hits_cache(store, hot_small, monkeypatch):
 
 def test_memoized_summarize_widening_computes_only_new_metrics(store, hot_small, monkeypatch):
     memoized_summarize(hot_small, store, compute_spectrum=False)
-    written = store.info()["metrics"]
+    written = store.info_dict()["metrics"]
     assert written == 9
 
     import repro.store.memo as memo
@@ -257,7 +257,7 @@ def test_memoized_summarize_widening_computes_only_new_metrics(store, hot_small,
     widened = memoized_summarize(hot_small, store, compute_spectrum=True)
     # only the two Laplacian extremes were computed; the other nine reused
     assert residual_runs == [("lambda_1", "lambda_n_1")]
-    assert store.info()["metrics"] == written + 2
+    assert store.info_dict()["metrics"] == written + 2
     assert widened.lambda_n_1 > 0.0
 
 
